@@ -484,7 +484,7 @@ mod tests {
         c.begin_frame(0, &obs(16.0, 40.0, 4.0, 80.0), &cons);
         c.begin_frame(6, &obs(17.0, 40.0, 4.0, 80.0), &cons);
         let snap = Controller::snapshot(&c);
-        let decoded = PolicySnapshot::from_bytes(&snap.to_bytes()).unwrap();
+        let decoded = PolicySnapshot::decode(&snap.encode()).unwrap();
         let mut restored = ctl();
         restored.restore(&decoded).unwrap();
         // Same inputs from here on must produce the same knob sequence.

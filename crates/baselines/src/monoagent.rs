@@ -512,8 +512,8 @@ mod tests {
             original.begin_frame(f, &obs(22.0 + (f % 6) as f64), &c);
             original.end_frame(f, &obs(22.0 + (f % 6) as f64), &c);
         }
-        let bytes = Controller::snapshot(&original).to_bytes();
-        let snap = PolicySnapshot::from_bytes(&bytes).unwrap();
+        let bytes = Controller::snapshot(&original).encode();
+        let snap = PolicySnapshot::decode(&bytes).unwrap();
         let mut restored = MonoAgentController::new(cfg.with_seed(31)).unwrap();
         restored.restore(&snap).unwrap();
         for f in 900..2_400u64 {
@@ -527,8 +527,8 @@ mod tests {
             restored.end_frame(f, &o, &c);
         }
         assert_eq!(
-            Controller::snapshot(&original).to_bytes(),
-            Controller::snapshot(&restored).to_bytes()
+            Controller::snapshot(&original).encode(),
+            Controller::snapshot(&restored).encode()
         );
     }
 

@@ -97,10 +97,10 @@ fn main() {
     );
 
     // Trace codec: encode + decode of the realized diurnal preset.
-    let trace_bytes = diurnal.to_bytes();
+    let trace_bytes = diurnal.encode();
     let codec_ns = mean_ns(realize_reps, || {
-        let bytes = diurnal.to_bytes();
-        RealizedScenario::from_bytes(&bytes).expect("round trip")
+        let bytes = diurnal.encode();
+        RealizedScenario::decode(&bytes).expect("round trip")
     });
     println!(
         "trace codec (encode+decode): {:.1} µs ({} bytes)",

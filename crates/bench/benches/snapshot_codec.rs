@@ -33,7 +33,7 @@ fn trained_controller(seed: u64) -> MamutController {
 fn bench_codec(c: &mut Criterion) {
     let trained = trained_controller(1);
     let snapshot = Controller::snapshot(&trained);
-    let bytes = snapshot.to_bytes();
+    let bytes = snapshot.encode();
     println!(
         "trained snapshot: {} agents, {} bytes",
         snapshot.agents.len(),
@@ -45,11 +45,11 @@ fn bench_codec(c: &mut Criterion) {
     });
 
     c.bench_function("snapshot_encode", |b| {
-        b.iter(|| black_box(black_box(&snapshot).to_bytes()))
+        b.iter(|| black_box(black_box(&snapshot).encode()))
     });
 
     c.bench_function("snapshot_decode", |b| {
-        b.iter(|| black_box(PolicySnapshot::from_bytes(black_box(&bytes)).unwrap()))
+        b.iter(|| black_box(PolicySnapshot::decode(black_box(&bytes)).unwrap()))
     });
 
     c.bench_function("snapshot_restore", |b| {

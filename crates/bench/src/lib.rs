@@ -1,5 +1,5 @@
 //! Experiment harness reproducing every table and figure of the MAMUT
-//! paper (see `DESIGN.md` §4 for the experiment index).
+//! paper.
 //!
 //! Each `benches/*.rs` target is a standalone binary (`harness = false`)
 //! that prints the corresponding table/series; this library holds the

@@ -665,8 +665,8 @@ mod tests {
         run_frames(&mut original, 0..1_000, 24.5);
         // Capture mid-run (a pending update window is live), ship the
         // bytes, restore into a differently seeded fresh controller.
-        let bytes = Controller::snapshot(&original).to_bytes();
-        let snap = crate::snapshot::PolicySnapshot::from_bytes(&bytes).unwrap();
+        let bytes = Controller::snapshot(&original).encode();
+        let snap = crate::snapshot::PolicySnapshot::decode(&bytes).unwrap();
         let mut restored = MamutController::new(cfg.with_seed(99)).unwrap();
         restored.restore(&snap).unwrap();
         let c = Constraints::paper_defaults();
@@ -681,8 +681,8 @@ mod tests {
             restored.end_frame(f, &o, &c);
         }
         assert_eq!(
-            Controller::snapshot(&original).to_bytes(),
-            Controller::snapshot(&restored).to_bytes(),
+            Controller::snapshot(&original).encode(),
+            Controller::snapshot(&restored).encode(),
             "states diverged after identical replay"
         );
     }

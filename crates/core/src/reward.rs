@@ -131,7 +131,7 @@ mod tests {
         let b = psnr_coefficient_b();
         assert!((a * std::f64::consts::E - b - 1.0).abs() < 1e-12);
         assert!((a * 0.6_f64.exp() - b).abs() < 1e-12);
-        // numeric values quoted in DESIGN.md
+        // numeric values of the two Eq. 2 coefficients
         assert!((a - 1.115869).abs() < 1e-4);
         assert!((b - 2.033247).abs() < 1e-4);
     }

@@ -18,10 +18,14 @@
 //! * [`AgentSnapshot`] — one agent's Q-table, global action counts and
 //!   sparse transition records, in a structured form that fleet-level
 //!   knowledge stores can merge (e.g. visit-weighted averaging);
-//! * [`PolicySnapshot::to_bytes`] / [`PolicySnapshot::from_bytes`] — the
-//!   wire codec: little-endian, length-prefixed, magic + version header,
-//!   no external dependencies. Encoding is canonical (transition records
-//!   are sorted), so `encode → decode → encode` is byte-identical.
+//! * [`PolicySnapshot::encode`] / [`PolicySnapshot::decode`] — the wire
+//!   codec: little-endian, length-prefixed, no external dependencies.
+//!   Encoding is canonical (transition records are sorted), so
+//!   `encode → decode → encode` is byte-identical;
+//! * [`Format`] — the framing every `MAMUT??` codec in the workspace
+//!   shares: an 8-byte magic, a little-endian `u16` version, then the
+//!   body, read through one harness that rejects foreign, newer and
+//!   trailing input the same way for every format.
 //!
 //! Producers and consumers go through the [`Controller`](crate::Controller)
 //! trait: `snapshot()` captures, `restore()` rehydrates. Knowledge-style
@@ -33,11 +37,61 @@ use std::fmt;
 
 use crate::{AgentKind, KnobSettings};
 
-/// Magic bytes opening every encoded snapshot.
-const MAGIC: &[u8; 8] = b"MAMUTPS\0";
+/// Framing of an encoded [`PolicySnapshot`].
+pub const POLICY_FORMAT: Format = Format {
+    magic: b"MAMUTPS\0",
+    version: 1,
+};
 
-/// Current codec version. Decoders reject anything newer.
-pub const SNAPSHOT_VERSION: u16 = 1;
+/// The framing shared by every `MAMUT??` codec: an 8-byte magic, then a
+/// little-endian `u16` version, then the format's body.
+///
+/// [`Format::writer`] starts an encoding; [`Format::read`] is the one
+/// decode harness, so every format gives the same answer for the same
+/// kind of damage: [`SnapshotError::BadMagic`] for input that does not
+/// start with the magic (shorter input included),
+/// [`SnapshotError::UnsupportedVersion`] for a newer version, and
+/// [`SnapshotError::Corrupt`] for bytes left after the body.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Format {
+    /// Magic bytes opening every encoded value (NUL-padded).
+    pub magic: &'static [u8; 8],
+    /// Current codec version. Decoders reject anything newer.
+    pub version: u16,
+}
+
+impl Format {
+    /// A writer that already holds the magic and version.
+    pub fn writer(&self) -> SnapshotWriter {
+        let mut w = SnapshotWriter::new();
+        w.buf.extend_from_slice(self.magic);
+        w.put_u16(self.version);
+        w
+    }
+
+    /// Checks the magic and version of `bytes`, decodes the rest with
+    /// `body`, and requires `body` to consume all of it.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::BadMagic`], [`SnapshotError::UnsupportedVersion`]
+    /// or [`SnapshotError::Corrupt`] for trailing bytes, plus whatever
+    /// `body` returns.
+    pub fn read<'a, T>(
+        &self,
+        bytes: &'a [u8],
+        body: impl FnOnce(&mut SnapshotReader<'a>) -> Result<T, SnapshotError>,
+    ) -> Result<T, SnapshotError> {
+        let rest = bytes
+            .strip_prefix(self.magic.as_slice())
+            .ok_or(SnapshotError::BadMagic)?;
+        let mut r = SnapshotReader::new(rest);
+        r.expect_version(self.version)?;
+        let value = body(&mut r)?;
+        r.expect_end()?;
+        Ok(value)
+    }
+}
 
 /// Errors from encoding, decoding, or restoring a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,12 +120,9 @@ pub enum SnapshotError {
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SnapshotError::BadMagic => write!(f, "not a MAMUT policy snapshot (bad magic)"),
+            SnapshotError::BadMagic => write!(f, "not the expected MAMUT format (bad magic)"),
             SnapshotError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "snapshot version {v} is newer than supported ({SNAPSHOT_VERSION})"
-                )
+                write!(f, "codec version {v} is newer than supported")
             }
             SnapshotError::Truncated => write!(f, "snapshot byte stream is truncated"),
             SnapshotError::Corrupt(what) => write!(f, "corrupt snapshot: {what}"),
@@ -229,15 +280,13 @@ impl PolicySnapshot {
         self.agents.iter().find(|a| a.kind == kind)
     }
 
-    /// Encodes the snapshot into the versioned binary format.
+    /// Encodes the snapshot under [`POLICY_FORMAT`].
     ///
     /// The encoding is canonical: transition records are written in
     /// sorted order, so encode → decode → encode round-trips to the very
     /// same bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-        w.buf.extend_from_slice(MAGIC);
-        w.put_u16(SNAPSHOT_VERSION);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = POLICY_FORMAT.writer();
         w.put_str(&self.controller);
         w.put_u8(self.knobs.qp);
         w.put_u32(self.knobs.threads);
@@ -269,92 +318,72 @@ impl PolicySnapshot {
         w.into_bytes()
     }
 
-    /// Decodes a snapshot produced by [`PolicySnapshot::to_bytes`].
+    /// Decodes a snapshot produced by [`PolicySnapshot::encode`].
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::BadMagic`], [`SnapshotError::UnsupportedVersion`],
-    /// [`SnapshotError::Truncated`] or [`SnapshotError::Corrupt`] for a
-    /// stream this codec cannot accept.
-    pub fn from_bytes(bytes: &[u8]) -> Result<PolicySnapshot, SnapshotError> {
-        if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let mut r = SnapshotReader::new(&bytes[MAGIC.len()..]);
-        let version = r.get_u16()?;
-        if version > SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-        let controller = r.get_str()?;
-        let knobs = KnobSettings::new(r.get_u8()?, r.get_u32()?, r.get_f64()?);
-        // The knob vector is actuated verbatim by whoever restores this
-        // snapshot, so structural sanity is checked at the codec border
-        // like every other field (NaN frequency would otherwise flow
-        // into rate/power math downstream).
-        if !(knobs.freq_ghz.is_finite() && knobs.freq_ghz > 0.0) || knobs.threads == 0 {
-            return Err(SnapshotError::Corrupt("invalid knob settings"));
-        }
-        let exploration_decisions = r.get_u64()?;
-        let exploitation_decisions = r.get_u64()?;
-        let n_agents = r.get_u32()?;
-        let mut agents = Vec::with_capacity(n_agents.min(8) as usize);
-        for _ in 0..n_agents {
-            let kind = agent_kind_from_code(r.get_u8()?)?;
-            let n_states = r.get_u32()?;
-            let n_actions = r.get_u32()?;
-            let cells = (n_states as usize)
-                .checked_mul(n_actions as usize)
-                .ok_or(SnapshotError::Corrupt("agent table dimensions overflow"))?;
-            // Crafted or damaged dimension fields must not drive huge
-            // preallocations: every q cell costs 8 encoded bytes, so a
-            // claimed size beyond the remaining input is a truncation.
-            if cells > r.remaining() / 8 {
-                return Err(SnapshotError::Truncated);
+    /// The [`Format::read`] framing errors, [`SnapshotError::Truncated`]
+    /// or [`SnapshotError::Corrupt`] for a body this codec cannot accept.
+    pub fn decode(bytes: &[u8]) -> Result<PolicySnapshot, SnapshotError> {
+        POLICY_FORMAT.read(bytes, |r| {
+            let controller = r.get_str()?;
+            let knobs = KnobSettings::new(r.get_u8()?, r.get_u32()?, r.get_f64()?);
+            // The knob vector is actuated verbatim by whoever restores this
+            // snapshot, so structural sanity is checked at the codec border
+            // like every other field (NaN frequency would otherwise flow
+            // into rate/power math downstream).
+            if !(knobs.freq_ghz.is_finite() && knobs.freq_ghz > 0.0) || knobs.threads == 0 {
+                return Err(SnapshotError::Corrupt("invalid knob settings"));
             }
-            let mut q = Vec::with_capacity(cells);
-            for _ in 0..cells {
-                q.push(r.get_f64()?);
+            let exploration_decisions = r.get_u64()?;
+            let exploitation_decisions = r.get_u64()?;
+            let n_agents = r.get_u32()?;
+            let mut agents = Vec::with_capacity(n_agents.min(8) as usize);
+            for _ in 0..n_agents {
+                let kind = agent_kind_from_code(r.get_u8()?)?;
+                let n_states = r.get_u32()?;
+                let n_actions = r.get_u32()?;
+                let cells = (n_states as usize)
+                    .checked_mul(n_actions as usize)
+                    .ok_or(SnapshotError::Corrupt("agent table dimensions overflow"))?;
+                let mut q = Vec::with_capacity(r.bound_count(cells, 8)?);
+                for _ in 0..cells {
+                    q.push(r.get_f64()?);
+                }
+                let mut action_counts = Vec::with_capacity(r.bound_count(n_actions as usize, 4)?);
+                for _ in 0..n_actions {
+                    action_counts.push(r.get_u32()?);
+                }
+                let n_records = r.get_count(16)?;
+                let mut transitions = Vec::with_capacity(n_records);
+                for _ in 0..n_records {
+                    transitions.push(TransitionRecord {
+                        state: r.get_u32()?,
+                        action: r.get_u32()?,
+                        next_state: r.get_u32()?,
+                        count: r.get_u32()?,
+                    });
+                }
+                let agent = AgentSnapshot {
+                    kind,
+                    n_states,
+                    n_actions,
+                    q,
+                    action_counts,
+                    transitions,
+                };
+                agent.validate()?;
+                agents.push(agent);
             }
-            if n_actions as usize > r.remaining() / 4 {
-                return Err(SnapshotError::Truncated);
-            }
-            let mut action_counts = Vec::with_capacity(n_actions as usize);
-            for _ in 0..n_actions {
-                action_counts.push(r.get_u32()?);
-            }
-            let n_records = r.get_u32()?;
-            if n_records as usize > r.remaining() / 16 {
-                return Err(SnapshotError::Truncated);
-            }
-            let mut transitions = Vec::with_capacity(n_records as usize);
-            for _ in 0..n_records {
-                transitions.push(TransitionRecord {
-                    state: r.get_u32()?,
-                    action: r.get_u32()?,
-                    next_state: r.get_u32()?,
-                    count: r.get_u32()?,
-                });
-            }
-            let agent = AgentSnapshot {
-                kind,
-                n_states,
-                n_actions,
-                q,
-                action_counts,
-                transitions,
-            };
-            agent.validate()?;
-            agents.push(agent);
-        }
-        let extra = r.get_bytes()?;
-        r.expect_end()?;
-        Ok(PolicySnapshot {
-            controller,
-            knobs,
-            exploration_decisions,
-            exploitation_decisions,
-            agents,
-            extra,
+            let extra = r.get_bytes()?;
+            Ok(PolicySnapshot {
+                controller,
+                knobs,
+                exploration_decisions,
+                exploitation_decisions,
+                agents,
+                extra,
+            })
         })
     }
 
@@ -554,6 +583,77 @@ impl<'a> SnapshotReader<'a> {
         String::from_utf8(self.get_bytes()?).map_err(|_| SnapshotError::Corrupt("invalid utf-8"))
     }
 
+    /// Reads a finite `f64`.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Corrupt`] with `what` for NaN or ±∞,
+    /// [`SnapshotError::Truncated`] past the end of input.
+    pub fn get_finite(&mut self, what: &'static str) -> Result<f64, SnapshotError> {
+        let v = self.get_f64()?;
+        if v.is_finite() {
+            Ok(v)
+        } else {
+            Err(SnapshotError::Corrupt(what))
+        }
+    }
+
+    /// Reads a `u32` item count, bounded by the input left: every item
+    /// takes at least `min_item_bytes` encoded bytes, so a larger count
+    /// cannot be honest and must not size an allocation.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Truncated`] when the count cannot fit.
+    pub fn get_count(&mut self, min_item_bytes: usize) -> Result<usize, SnapshotError> {
+        let n = self.get_u32()? as usize;
+        self.bound_count(n, min_item_bytes)
+    }
+
+    /// Returns `n` if `n` items of at least `min_item_bytes` each fit in
+    /// the input left — the check [`SnapshotReader::get_count`] applies,
+    /// for counts derived from earlier fields.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Truncated`] when they cannot fit.
+    pub fn bound_count(&self, n: usize, min_item_bytes: usize) -> Result<usize, SnapshotError> {
+        if n > self.remaining() / min_item_bytes.max(1) {
+            Err(SnapshotError::Truncated)
+        } else {
+            Ok(n)
+        }
+    }
+
+    /// Reads a type tag string and checks it against `expected`.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::WrongController`] on mismatch.
+    pub fn expect_tag(&mut self, expected: &'static str) -> Result<(), SnapshotError> {
+        let found = self.get_str()?;
+        if found == expected {
+            Ok(())
+        } else {
+            Err(SnapshotError::WrongController { expected, found })
+        }
+    }
+
+    /// Reads a `u16` version word and rejects one newer than `supported`.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::UnsupportedVersion`] for a newer version,
+    /// [`SnapshotError::Truncated`] past the end of input.
+    pub fn expect_version(&mut self, supported: u16) -> Result<u16, SnapshotError> {
+        let version = self.get_u16()?;
+        if version > supported {
+            Err(SnapshotError::UnsupportedVersion(version))
+        } else {
+            Ok(version)
+        }
+    }
+
     /// Asserts the whole input was consumed.
     ///
     /// # Errors
@@ -611,8 +711,8 @@ mod tests {
     #[test]
     fn round_trip_preserves_everything() {
         let snap = sample();
-        let bytes = snap.to_bytes();
-        let back = PolicySnapshot::from_bytes(&bytes).unwrap();
+        let bytes = snap.encode();
+        let back = PolicySnapshot::decode(&bytes).unwrap();
         assert_eq!(back.controller, "mamut");
         assert_eq!(back.knobs, snap.knobs);
         assert_eq!(back.exploration_decisions, 120);
@@ -624,51 +724,101 @@ mod tests {
 
     #[test]
     fn reencoding_is_byte_identical() {
-        let bytes = sample().to_bytes();
-        let back = PolicySnapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(back.to_bytes(), bytes);
+        let bytes = sample().encode();
+        let back = PolicySnapshot::decode(&bytes).unwrap();
+        assert_eq!(back.encode(), bytes);
     }
 
     #[test]
     fn transitions_are_canonically_sorted_on_encode() {
-        let bytes = sample().to_bytes();
-        let back = PolicySnapshot::from_bytes(&bytes).unwrap();
+        let bytes = sample().encode();
+        let back = PolicySnapshot::decode(&bytes).unwrap();
         let t = &back.agents[0].transitions;
         assert_eq!((t[0].state, t[0].action), (0, 0));
         assert_eq!((t[1].state, t[1].action), (2, 1));
     }
 
+    /// A two-field test format for the framing harness itself.
+    const TEST_FORMAT: Format = Format {
+        magic: b"MAMUTZZ\0",
+        version: 3,
+    };
+
+    fn read_test(bytes: &[u8]) -> Result<(u32, u32), SnapshotError> {
+        TEST_FORMAT.read(bytes, |r| Ok((r.get_u32()?, r.get_u32()?)))
+    }
+
+    fn test_bytes() -> Vec<u8> {
+        let mut w = TEST_FORMAT.writer();
+        w.put_u32(7);
+        w.put_u32(9);
+        w.into_bytes()
+    }
+
     #[test]
     fn bad_magic_rejected() {
-        assert_eq!(
-            PolicySnapshot::from_bytes(b"NOTASNAP....."),
-            Err(SnapshotError::BadMagic)
-        );
-        assert_eq!(
-            PolicySnapshot::from_bytes(b""),
-            Err(SnapshotError::BadMagic)
-        );
+        assert_eq!(read_test(&test_bytes()), Ok((7, 9)));
+        assert_eq!(&test_bytes()[..8], TEST_FORMAT.magic);
+        // Foreign magic, and any input too short to hold the magic.
+        assert_eq!(read_test(b"NOTAFORMAT...."), Err(SnapshotError::BadMagic));
+        for cut in 0..8 {
+            assert_eq!(
+                read_test(&test_bytes()[..cut]),
+                Err(SnapshotError::BadMagic)
+            );
+        }
     }
 
     #[test]
     fn newer_version_rejected() {
-        let mut bytes = sample().to_bytes();
-        bytes[MAGIC.len()] = 0xFF; // bump the version word
-        assert!(matches!(
-            PolicySnapshot::from_bytes(&bytes),
-            Err(SnapshotError::UnsupportedVersion(_))
-        ));
+        let mut bytes = test_bytes();
+        bytes[8..10].copy_from_slice(&4u16.to_le_bytes());
+        assert_eq!(read_test(&bytes), Err(SnapshotError::UnsupportedVersion(4)));
+        // Older versions reach the body.
+        bytes[8..10].copy_from_slice(&2u16.to_le_bytes());
+        assert_eq!(read_test(&bytes), Ok((7, 9)));
     }
 
     #[test]
-    fn truncation_is_detected_at_every_length() {
-        let bytes = sample().to_bytes();
-        for cut in MAGIC.len()..bytes.len() {
-            assert!(
-                PolicySnapshot::from_bytes(&bytes[..cut]).is_err(),
-                "cut at {cut} slipped through"
-            );
-        }
+    fn trailing_bytes_rejected() {
+        let mut bytes = test_bytes();
+        bytes.push(0);
+        assert_eq!(
+            read_test(&bytes),
+            Err(SnapshotError::Corrupt("trailing bytes after snapshot"))
+        );
+    }
+
+    #[test]
+    fn counts_are_bounded_by_the_remaining_input() {
+        let mut w = SnapshotWriter::new();
+        w.put_u32(3);
+        w.put_u64(0);
+        w.put_u64(0);
+        let bytes = w.into_bytes();
+        // Three 8-byte items cannot fit in the 16 bytes after the count.
+        assert_eq!(
+            SnapshotReader::new(&bytes).get_count(8),
+            Err(SnapshotError::Truncated)
+        );
+        assert_eq!(SnapshotReader::new(&bytes).get_count(5), Ok(3));
+    }
+
+    #[test]
+    fn finite_and_tag_helpers_reject_bad_fields() {
+        let mut w = SnapshotWriter::new();
+        w.put_f64(f64::NAN);
+        w.put_str("holt-winters");
+        let bytes = w.into_bytes();
+        let mut r = SnapshotReader::new(&bytes);
+        assert_eq!(r.get_finite("rate"), Err(SnapshotError::Corrupt("rate")));
+        assert_eq!(
+            r.expect_tag("seasonal-naive"),
+            Err(SnapshotError::WrongController {
+                expected: "seasonal-naive",
+                found: "holt-winters".into()
+            })
+        );
     }
 
     #[test]
@@ -676,8 +826,7 @@ mod tests {
         // A tiny input claiming a u32::MAX × u32::MAX agent table must
         // come back as an error, not a capacity-overflow panic or a
         // multi-terabyte allocation attempt.
-        let mut w = SnapshotWriter::new();
-        w.put_u16(SNAPSHOT_VERSION);
+        let mut w = POLICY_FORMAT.writer();
         w.put_str("mamut");
         w.put_u8(32); // qp
         w.put_u32(4); // threads
@@ -688,9 +837,7 @@ mod tests {
         w.put_u8(0); // kind
         w.put_u32(u32::MAX); // n_states
         w.put_u32(u32::MAX); // n_actions
-        let mut bytes = MAGIC.to_vec();
-        bytes.extend(w.into_bytes());
-        assert!(PolicySnapshot::from_bytes(&bytes).is_err());
+        assert!(PolicySnapshot::decode(&w.into_bytes()).is_err());
     }
 
     #[test]
@@ -698,31 +845,21 @@ mod tests {
         let mut snap = sample();
         snap.knobs.freq_ghz = f64::NAN;
         assert_eq!(
-            PolicySnapshot::from_bytes(&snap.to_bytes()),
+            PolicySnapshot::decode(&snap.encode()),
             Err(SnapshotError::Corrupt("invalid knob settings"))
         );
         let mut snap = sample();
         snap.knobs.threads = 0;
-        assert!(PolicySnapshot::from_bytes(&snap.to_bytes()).is_err());
-    }
-
-    #[test]
-    fn trailing_bytes_rejected() {
-        let mut bytes = sample().to_bytes();
-        bytes.push(0);
-        assert_eq!(
-            PolicySnapshot::from_bytes(&bytes),
-            Err(SnapshotError::Corrupt("trailing bytes after snapshot"))
-        );
+        assert!(PolicySnapshot::decode(&snap.encode()).is_err());
     }
 
     #[test]
     fn out_of_range_transition_rejected() {
         let mut snap = sample();
         snap.agents[0].transitions[0].next_state = 99;
-        let bytes = snap.to_bytes();
+        let bytes = snap.encode();
         assert!(matches!(
-            PolicySnapshot::from_bytes(&bytes),
+            PolicySnapshot::decode(&bytes),
             Err(SnapshotError::Corrupt(_))
         ));
     }

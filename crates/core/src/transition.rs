@@ -1,5 +1,3 @@
-use std::collections::HashMap;
-
 /// Empirical state-transition model `P(s --a--> s')`.
 ///
 /// §IV-A of the paper: the environment is stochastic (content varies, other
@@ -24,8 +22,9 @@ use std::collections::HashMap;
 pub struct TransitionModel {
     n_states: usize,
     n_actions: usize,
-    /// Successor counts per (state, action), sparse.
-    counts: Vec<HashMap<usize, u32>>,
+    /// Successor counts per (state, action): sparse `(next_state, count)`
+    /// pairs sorted by `next_state`, so iteration order is fixed.
+    counts: Vec<Vec<(u32, u32)>>,
     /// Total visits per (state, action) — the paper's `Num(s, a)`.
     totals: Vec<u32>,
 }
@@ -42,7 +41,7 @@ impl TransitionModel {
         TransitionModel {
             n_states,
             n_actions,
-            counts: vec![HashMap::new(); n_states * n_actions],
+            counts: vec![Vec::new(); n_states * n_actions],
             totals: vec![0; n_states * n_actions],
         }
     }
@@ -75,11 +74,16 @@ impl TransitionModel {
         if total == 0 {
             return 0.0;
         }
-        let n = self.counts[i].get(&next_state).copied().unwrap_or(0);
+        let cell = &self.counts[i];
+        let n = match cell.binary_search_by_key(&(next_state as u32), |&(s2, _)| s2) {
+            Ok(at) => cell[at].1,
+            Err(_) => 0,
+        };
         f64::from(n) / f64::from(total)
     }
 
-    /// Iterates over `(next_state, probability)` successors of `(s, a)`.
+    /// Iterates over `(next_state, probability)` successors of `(s, a)`
+    /// in ascending `next_state` order.
     ///
     /// Empty if the pair was never visited. Probabilities sum to 1 otherwise.
     pub fn successors(
@@ -89,13 +93,13 @@ impl TransitionModel {
     ) -> impl Iterator<Item = (usize, f64)> + '_ {
         let i = self.idx(state, action);
         let total = self.totals[i];
-        self.counts[i].iter().map(move |(&s2, &n)| {
+        self.counts[i].iter().map(move |&(s2, n)| {
             let p = if total == 0 {
                 0.0
             } else {
                 f64::from(n) / f64::from(total)
             };
-            (s2, p)
+            (s2 as usize, p)
         })
     }
 
@@ -105,19 +109,17 @@ impl TransitionModel {
     }
 
     /// Every recorded transition as `(state, action, next_state, count)`,
-    /// sorted — the canonical order portable snapshots serialize (the
-    /// internal maps iterate in arbitrary order).
+    /// sorted — the canonical order portable snapshots serialize.
     pub fn records(&self) -> Vec<(usize, usize, usize, u32)> {
         let mut out = Vec::new();
         for state in 0..self.n_states {
             for action in 0..self.n_actions {
                 let i = state * self.n_actions + action;
-                for (&next, &count) in &self.counts[i] {
-                    out.push((state, action, next, count));
+                for &(next, count) in &self.counts[i] {
+                    out.push((state, action, next as usize, count));
                 }
             }
         }
-        out.sort_unstable();
         out
     }
 
@@ -126,8 +128,12 @@ impl TransitionModel {
     pub fn record_many(&mut self, state: usize, action: usize, next_state: usize, count: u32) {
         debug_assert!(next_state < self.n_states);
         let i = self.idx(state, action);
-        let slot = self.counts[i].entry(next_state).or_insert(0);
-        *slot = slot.saturating_add(count);
+        let cell = &mut self.counts[i];
+        let next = next_state as u32;
+        match cell.binary_search_by_key(&next, |&(s2, _)| s2) {
+            Ok(at) => cell[at].1 = cell[at].1.saturating_add(count),
+            Err(at) => cell.insert(at, (next, count)),
+        }
         self.totals[i] = self.totals[i].saturating_add(count);
     }
 
@@ -200,6 +206,27 @@ mod tests {
     #[should_panic(expected = "at least one state")]
     fn zero_states_panics() {
         let _ = TransitionModel::new(0, 1);
+    }
+
+    #[test]
+    fn successor_order_does_not_depend_on_insertion_order() {
+        let transitions = [(0, 1, 4), (0, 1, 2), (0, 1, 7), (0, 1, 2), (0, 1, 0)];
+        let mut forward = TransitionModel::new(8, 2);
+        let mut backward = TransitionModel::new(8, 2);
+        for &(s, a, s2) in &transitions {
+            forward.record(s, a, s2);
+        }
+        for &(s, a, s2) in transitions.iter().rev() {
+            backward.record(s, a, s2);
+        }
+        let seq = |t: &TransitionModel| -> Vec<(usize, u64)> {
+            t.successors(0, 1)
+                .map(|(s2, p)| (s2, p.to_bits()))
+                .collect()
+        };
+        assert_eq!(seq(&forward), seq(&backward));
+        let order: Vec<usize> = forward.successors(0, 1).map(|(s2, _)| s2).collect();
+        assert_eq!(order, vec![0, 2, 4, 7]);
     }
 
     #[test]

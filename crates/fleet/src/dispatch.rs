@@ -14,6 +14,8 @@
 //! shared-machine model predicts would sink every resident stream below
 //! real time).
 
+use std::cmp::Ordering;
+
 use mamut_platform::Platform;
 use mamut_transcode::{AdmissionPlanner, StreamShape};
 
@@ -54,6 +56,14 @@ pub struct NodeView {
     pub qos_violation_percent: f64,
     /// Planning shapes of the resident (unfinished) sessions.
     pub resident_shapes: Vec<StreamShape>,
+}
+
+/// The one ordering of node utilizations, shared by placement, draining,
+/// rebalancing and overflow routing. Utilizations are non-negative thread
+/// ratios, so `total_cmp` agrees with numeric order on them — and unlike
+/// `partial_cmp` it has no failure case to unwrap.
+pub(crate) fn cmp_utilization(a: f64, b: f64) -> Ordering {
+    a.total_cmp(&b)
 }
 
 impl NodeView {
@@ -149,9 +159,7 @@ impl Dispatcher for LeastLoaded {
 
     fn dispatch(&mut self, _request: &SessionRequest, nodes: &[NodeView]) -> DispatchDecision {
         let best = nodes.iter().min_by(|a, b| {
-            a.utilization()
-                .partial_cmp(&b.utilization())
-                .expect("utilization is finite")
+            cmp_utilization(a.utilization(), b.utilization())
                 .then(a.active_sessions.cmp(&b.active_sessions))
                 .then(a.node_id.cmp(&b.node_id))
         });
@@ -262,10 +270,7 @@ impl Dispatcher for AdmissionGated {
         // …then any node, least-utilized first.
         let mut order: Vec<&NodeView> = nodes.iter().collect();
         order.sort_by(|a, b| {
-            a.utilization()
-                .partial_cmp(&b.utilization())
-                .expect("utilization is finite")
-                .then(a.node_id.cmp(&b.node_id))
+            cmp_utilization(a.utilization(), b.utilization()).then(a.node_id.cmp(&b.node_id))
         });
         for node in order {
             if self.feasible_on(node, &shape) {

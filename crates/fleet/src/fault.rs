@@ -20,18 +20,18 @@
 
 use std::collections::BTreeMap;
 
-use mamut_core::snapshot::{SnapshotReader, SnapshotWriter};
+use mamut_core::snapshot::Format;
 use mamut_core::SnapshotError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::workload::SessionRequest;
 
-/// Magic bytes opening a [`CheckpointBundle`] (8 bytes, NUL-padded).
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"MAMUTCK\0";
-
-/// Version of the checkpoint-bundle codec.
-pub const CHECKPOINT_VERSION: u16 = 1;
+/// Framing of an encoded [`CheckpointBundle`].
+pub const CHECKPOINT_FORMAT: Format = Format {
+    magic: b"MAMUTCK\0",
+    version: 1,
+};
 
 /// One scripted fault, keyed by the epoch at whose start it fires.
 ///
@@ -295,13 +295,9 @@ pub struct CheckpointBundle {
 }
 
 impl CheckpointBundle {
-    /// Serializes the bundle (`MAMUTCK` magic, versioned).
+    /// Serializes the bundle under [`CHECKPOINT_FORMAT`].
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-        for &b in CHECKPOINT_MAGIC {
-            w.put_u8(b);
-        }
-        w.put_u16(CHECKPOINT_VERSION);
+        let mut w = CHECKPOINT_FORMAT.writer();
         w.put_u64(self.epoch);
         w.put_u32(self.nodes.len() as u32);
         for node in &self.nodes {
@@ -328,59 +324,53 @@ impl CheckpointBundle {
         w.into_bytes()
     }
 
-    /// Decodes a bundle.
+    /// Decodes a bundle produced by [`CheckpointBundle::encode`].
     ///
     /// # Errors
     ///
-    /// [`SnapshotError`] on a wrong magic, a newer codec version, or a
-    /// truncated/corrupt byte stream.
+    /// [`SnapshotError`] on a framing error (see [`Format::read`]) or a
+    /// truncated/corrupt body.
     pub fn decode(bytes: &[u8]) -> Result<CheckpointBundle, SnapshotError> {
-        let mut r = SnapshotReader::new(bytes);
-        for &expected in CHECKPOINT_MAGIC {
-            if r.get_u8()? != expected {
-                return Err(SnapshotError::BadMagic);
+        CHECKPOINT_FORMAT.read(bytes, |r| {
+            let epoch = r.get_u64()?;
+            // Node id and session count.
+            let n_nodes = r.get_count(8 + 4)?;
+            let mut nodes = Vec::with_capacity(n_nodes);
+            for _ in 0..n_nodes {
+                let node = r.get_u64()? as usize;
+                // Request (id, arrival, hr, live, frames, seed), frames
+                // completed and an empty byte string.
+                let n_sessions = r.get_count(34 + 8 + 4)?;
+                let mut sessions = Vec::with_capacity(n_sessions);
+                for _ in 0..n_sessions {
+                    let request = SessionRequest {
+                        id: r.get_u64()?,
+                        arrival_s: r.get_f64()?,
+                        hr: r.get_bool()?,
+                        live: r.get_bool()?,
+                        frames: r.get_u64()?,
+                        seed: r.get_u64()?,
+                    };
+                    let frames_completed = r.get_u64()?;
+                    let bytes = r.get_bytes()?;
+                    sessions.push(SessionCheckpoint {
+                        request,
+                        frames_completed,
+                        bytes,
+                    });
+                }
+                nodes.push(NodeCheckpoint { node, sessions });
             }
-        }
-        let version = r.get_u16()?;
-        if version > CHECKPOINT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-        let epoch = r.get_u64()?;
-        let n_nodes = r.get_u32()?;
-        let mut nodes = Vec::with_capacity(n_nodes as usize);
-        for _ in 0..n_nodes {
-            let node = r.get_u64()? as usize;
-            let n_sessions = r.get_u32()?;
-            let mut sessions = Vec::with_capacity(n_sessions as usize);
-            for _ in 0..n_sessions {
-                let request = SessionRequest {
-                    id: r.get_u64()?,
-                    arrival_s: r.get_f64()?,
-                    hr: r.get_bool()?,
-                    live: r.get_bool()?,
-                    frames: r.get_u64()?,
-                    seed: r.get_u64()?,
-                };
-                let frames_completed = r.get_u64()?;
-                let bytes = r.get_bytes()?;
-                sessions.push(SessionCheckpoint {
-                    request,
-                    frames_completed,
-                    bytes,
-                });
-            }
-            nodes.push(NodeCheckpoint { node, sessions });
-        }
-        let knowledge = if r.get_bool()? {
-            Some(r.get_bytes()?)
-        } else {
-            None
-        };
-        r.expect_end()?;
-        Ok(CheckpointBundle {
-            epoch,
-            nodes,
-            knowledge,
+            let knowledge = if r.get_bool()? {
+                Some(r.get_bytes()?)
+            } else {
+                None
+            };
+            Ok(CheckpointBundle {
+                epoch,
+                nodes,
+                knowledge,
+            })
         })
     }
 
@@ -446,7 +436,7 @@ mod tests {
     fn bundle_round_trips() {
         let original = bundle();
         let bytes = original.encode();
-        assert_eq!(&bytes[..8], CHECKPOINT_MAGIC);
+        assert_eq!(&bytes[..8], CHECKPOINT_FORMAT.magic);
         let decoded = CheckpointBundle::decode(&bytes).unwrap();
         assert_eq!(decoded, original);
         let by_id = decoded.sessions_of(2);
@@ -456,29 +446,26 @@ mod tests {
     }
 
     #[test]
-    fn bad_magic_and_truncation_are_rejected() {
-        let mut bytes = bundle().encode();
-        assert!(matches!(
-            CheckpointBundle::decode(&bytes[..10]),
-            Err(SnapshotError::Truncated)
-        ));
-        bytes[0] = b'X';
+    fn crafted_counts_are_truncation_not_allocations() {
+        // Magic, version, epoch and a node count of u32::MAX in 22 bytes:
+        // the count cannot fit the input, so it must not size a buffer.
+        let mut w = CHECKPOINT_FORMAT.writer();
+        w.put_u64(3);
+        w.put_u32(u32::MAX);
         assert_eq!(
-            CheckpointBundle::decode(&bytes),
-            Err(SnapshotError::BadMagic)
+            CheckpointBundle::decode(&w.into_bytes()),
+            Err(SnapshotError::Truncated)
         );
-    }
-
-    #[test]
-    fn newer_versions_are_rejected() {
-        let mut bytes = bundle().encode();
-        // The version u16 sits right after the 8-byte magic.
-        bytes[8] = 0xFF;
-        bytes[9] = 0xFF;
-        assert!(matches!(
-            CheckpointBundle::decode(&bytes),
-            Err(SnapshotError::UnsupportedVersion(_))
-        ));
+        // The same for a node's session count.
+        let mut w = CHECKPOINT_FORMAT.writer();
+        w.put_u64(3);
+        w.put_u32(1);
+        w.put_u64(0);
+        w.put_u32(u32::MAX);
+        assert_eq!(
+            CheckpointBundle::decode(&w.into_bytes()),
+            Err(SnapshotError::Truncated)
+        );
     }
 
     #[test]

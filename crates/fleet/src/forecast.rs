@@ -27,13 +27,14 @@
 //! predictor and chain runs across process restarts, replaying
 //! byte-for-byte.
 
-use mamut_core::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
+use mamut_core::snapshot::{Format, SnapshotError};
 
-/// Magic bytes opening every encoded forecaster state.
-const FORECAST_MAGIC: &[u8; 8] = b"MAMUTFC\0";
-
-/// Current forecaster-state codec version. Decoders reject newer.
-pub const FORECAST_STATE_VERSION: u16 = 1;
+/// Framing of an encoded forecaster state; the body opens with the
+/// predictor's name as a type tag.
+pub const FORECAST_FORMAT: Format = Format {
+    magic: b"MAMUTFC\0",
+    version: 1,
+};
 
 /// An arrival-rate predictor consulted by the
 /// [`ForecastScaler`](crate::ForecastScaler) once per epoch boundary.
@@ -70,52 +71,6 @@ pub trait Forecaster: Send {
     /// written by a newer codec, carry a different predictor's tag, or
     /// disagree with this predictor's configured period.
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError>;
-}
-
-/// Opens a forecaster-state stream: checks magic + version, then the
-/// type tag against `expected`.
-fn open_state<'a>(
-    bytes: &'a [u8],
-    expected: &'static str,
-) -> Result<SnapshotReader<'a>, SnapshotError> {
-    if bytes.len() < FORECAST_MAGIC.len() || &bytes[..FORECAST_MAGIC.len()] != FORECAST_MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let mut r = SnapshotReader::new(&bytes[FORECAST_MAGIC.len()..]);
-    let version = r.get_u16()?;
-    if version > FORECAST_STATE_VERSION {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
-    let tag = r.get_str()?;
-    if tag != expected {
-        return Err(SnapshotError::WrongController {
-            expected,
-            found: tag,
-        });
-    }
-    Ok(r)
-}
-
-/// Starts a forecaster-state stream with magic, version and type tag.
-fn begin_state(tag: &str) -> SnapshotWriter {
-    let mut w = SnapshotWriter::new();
-    for &b in FORECAST_MAGIC {
-        w.put_u8(b);
-    }
-    w.put_u16(FORECAST_STATE_VERSION);
-    w.put_str(tag);
-    w
-}
-
-/// Reads a finite f64 (forecaster state carries rates and smoothing
-/// components; NaN/∞ would poison every later forecast).
-fn get_finite(r: &mut SnapshotReader, what: &'static str) -> Result<f64, SnapshotError> {
-    let v = r.get_f64()?;
-    if v.is_finite() {
-        Ok(v)
-    } else {
-        Err(SnapshotError::Corrupt(what))
-    }
 }
 
 /// Seasonal-naive forecasting: the prediction for `h` epochs ahead is
@@ -200,7 +155,8 @@ impl Forecaster for SeasonalNaive {
     }
 
     fn snapshot_state(&self) -> Vec<u8> {
-        let mut w = begin_state(self.name());
+        let mut w = FORECAST_FORMAT.writer();
+        w.put_str(self.name());
         w.put_u32(self.period as u32);
         w.put_u64(self.observations);
         w.put_f64(self.cold_sum);
@@ -212,27 +168,26 @@ impl Forecaster for SeasonalNaive {
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let mut r = open_state(bytes, self.name())?;
-        let period = r.get_u32()? as usize;
-        if period != self.period {
-            return Err(SnapshotError::ShapeMismatch(
-                "seasonal-naive period differs",
-            ));
-        }
-        let observations = r.get_u64()?;
-        let cold_sum = get_finite(&mut r, "non-finite cold-start sum")?;
-        let n = r.get_u32()? as usize;
-        if n > self.period || n as u64 > observations {
-            return Err(SnapshotError::Corrupt("seasonal ring longer than history"));
-        }
-        if n > r.remaining() / 8 {
-            return Err(SnapshotError::Truncated);
-        }
-        let mut ring = Vec::with_capacity(n);
-        for _ in 0..n {
-            ring.push(get_finite(&mut r, "non-finite rate in ring")?);
-        }
-        r.expect_end()?;
+        let (observations, cold_sum, ring) = FORECAST_FORMAT.read(bytes, |r| {
+            r.expect_tag(self.name())?;
+            let period = r.get_u32()? as usize;
+            if period != self.period {
+                return Err(SnapshotError::ShapeMismatch(
+                    "seasonal-naive period differs",
+                ));
+            }
+            let observations = r.get_u64()?;
+            let cold_sum = r.get_finite("non-finite cold-start sum")?;
+            let n = r.get_count(8)?;
+            if n > self.period || n as u64 > observations {
+                return Err(SnapshotError::Corrupt("seasonal ring longer than history"));
+            }
+            let mut ring = Vec::with_capacity(n);
+            for _ in 0..n {
+                ring.push(r.get_finite("non-finite rate in ring")?);
+            }
+            Ok((observations, cold_sum, ring))
+        })?;
         self.ring = ring;
         self.observations = observations;
         self.cold_sum = cold_sum;
@@ -371,7 +326,8 @@ impl Forecaster for HoltWinters {
     }
 
     fn snapshot_state(&self) -> Vec<u8> {
-        let mut w = begin_state(self.name());
+        let mut w = FORECAST_FORMAT.writer();
+        w.put_str(self.name());
         w.put_u32(self.period as u32);
         w.put_f64(self.alpha);
         w.put_f64(self.beta);
@@ -391,40 +347,31 @@ impl Forecaster for HoltWinters {
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let mut r = open_state(bytes, self.name())?;
-        let period = r.get_u32()? as usize;
-        if period != self.period {
-            return Err(SnapshotError::ShapeMismatch("holt-winters period differs"));
-        }
-        let alpha = get_finite(&mut r, "non-finite alpha")?;
-        let beta = get_finite(&mut r, "non-finite beta")?;
-        let gamma = get_finite(&mut r, "non-finite gamma")?;
-        let primed = r.get_bool()?;
-        let steps = r.get_u64()?;
-        let level = get_finite(&mut r, "non-finite level")?;
-        let trend = get_finite(&mut r, "non-finite trend")?;
-        let mut seasonal = Vec::with_capacity(period);
-        for _ in 0..period {
-            seasonal.push(get_finite(&mut r, "non-finite seasonal component")?);
-        }
-        let n = r.get_u32()? as usize;
-        if n > r.remaining() / 8 {
-            return Err(SnapshotError::Truncated);
-        }
-        let mut warmup = Vec::with_capacity(n);
-        for _ in 0..n {
-            warmup.push(get_finite(&mut r, "non-finite warmup rate")?);
-        }
-        r.expect_end()?;
-        self.alpha = alpha;
-        self.beta = beta;
-        self.gamma = gamma;
-        self.primed = primed;
-        self.steps = steps;
-        self.level = level;
-        self.trend = trend;
-        self.seasonal = seasonal;
-        self.warmup = warmup;
+        let restored = FORECAST_FORMAT.read(bytes, |r| {
+            r.expect_tag(self.name())?;
+            let period = r.get_u32()? as usize;
+            if period != self.period {
+                return Err(SnapshotError::ShapeMismatch("holt-winters period differs"));
+            }
+            let mut hw = HoltWinters::new(period);
+            hw.alpha = r.get_finite("non-finite alpha")?;
+            hw.beta = r.get_finite("non-finite beta")?;
+            hw.gamma = r.get_finite("non-finite gamma")?;
+            hw.primed = r.get_bool()?;
+            hw.steps = r.get_u64()?;
+            hw.level = r.get_finite("non-finite level")?;
+            hw.trend = r.get_finite("non-finite trend")?;
+            for s in &mut hw.seasonal {
+                *s = r.get_finite("non-finite seasonal component")?;
+            }
+            let n = r.get_count(8)?;
+            hw.warmup.reserve_exact(n);
+            for _ in 0..n {
+                hw.warmup.push(r.get_finite("non-finite warmup rate")?);
+            }
+            Ok(hw)
+        })?;
+        *self = restored;
         Ok(())
     }
 }
@@ -632,19 +579,15 @@ mod tests {
             other.restore_state(&bytes),
             Err(SnapshotError::ShapeMismatch(_))
         ));
-        // Bad magic and truncation.
-        let mut fresh = SeasonalNaive::new(4);
-        assert_eq!(
-            fresh.restore_state(b"JUNKJUNKJUNK"),
-            Err(SnapshotError::BadMagic)
-        );
-        for cut in FORECAST_MAGIC.len()..bytes.len() {
-            assert!(
-                fresh.restore_state(&bytes[..cut]).is_err(),
-                "cut at {cut} slipped through"
-            );
-        }
         // A failed restore leaves the original state untouched.
+        let mut fresh = SeasonalNaive::new(4);
+        let mut corrupt = bytes.clone();
+        let last = corrupt.len() - 8;
+        corrupt[last..].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+        assert_eq!(
+            fresh.restore_state(&corrupt),
+            Err(SnapshotError::Corrupt("non-finite rate in ring"))
+        );
         assert_eq!(fresh.observations(), 0);
     }
 }

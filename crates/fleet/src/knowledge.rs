@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use mamut_core::snapshot::{
-    AgentSnapshot, PolicySnapshot, SnapshotError, SnapshotReader, SnapshotWriter, TransitionRecord,
+    AgentSnapshot, Format, PolicySnapshot, SnapshotError, TransitionRecord,
 };
 use mamut_core::Controller;
 
@@ -253,11 +253,11 @@ pub struct KnowledgeStore {
 /// A store shared between warm-start factories and the fleet loop.
 pub type SharedKnowledgeStore = Arc<Mutex<KnowledgeStore>>;
 
-/// Magic bytes opening every encoded knowledge store.
-const STORE_MAGIC: &[u8; 8] = b"MAMUTKS\0";
-
-/// Current knowledge-store codec version. Decoders reject newer.
-pub const STORE_VERSION: u16 = 1;
+/// Framing of an encoded [`KnowledgeStore`].
+pub const STORE_FORMAT: Format = Format {
+    magic: b"MAMUTKS\0",
+    version: 1,
+};
 
 impl KnowledgeStore {
     /// Creates an empty store with the given merge policy.
@@ -422,22 +422,18 @@ impl KnowledgeStore {
     }
 
     /// Serializes the whole store — merge policy, every class's merged
-    /// knowledge, contribution and service counters — through the
-    /// std-only snapshot codec, so accumulated fleet knowledge survives
-    /// process restarts and scenario sweeps can chain runs.
+    /// knowledge, contribution and service counters — under
+    /// [`STORE_FORMAT`], so accumulated fleet knowledge survives process
+    /// restarts and scenario sweeps can chain runs.
     ///
     /// The encoding is canonical (entries in key order, each policy in
-    /// its canonical snapshot form), so snapshot → restore → snapshot is
+    /// its canonical snapshot form), so encode → decode → encode is
     /// byte-identical. The incremental merge accumulator is *not*
     /// encoded: it is derived state, rebuilt lazily on the first merge
-    /// after a restore, and the rebuild is exact — merges after a
-    /// restore produce bitwise the same tables as merges without one.
-    pub fn snapshot(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-        for &b in STORE_MAGIC {
-            w.put_u8(b);
-        }
-        w.put_u16(STORE_VERSION);
+    /// after a decode, and the rebuild is exact — merges after a decode
+    /// produce bitwise the same tables as merges without one.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = STORE_FORMAT.writer();
         w.put_u8(match self.policy {
             MergePolicy::Replace => 0,
             MergePolicy::VisitWeighted => 1,
@@ -453,67 +449,61 @@ impl KnowledgeStore {
             });
             w.put_str(controller);
             w.put_u64(entry.contributions);
-            w.put_bytes(&entry.snapshot.to_bytes());
+            w.put_bytes(&entry.snapshot.encode());
         }
         w.into_bytes()
     }
 
-    /// Rehydrates a store captured by [`KnowledgeStore::snapshot`].
+    /// Rebuilds a store from bytes produced by [`KnowledgeStore::encode`].
     ///
     /// # Errors
     ///
-    /// [`SnapshotError`] when the bytes are not a knowledge-store
-    /// snapshot, were written by a newer codec, or any embedded policy
-    /// snapshot fails to decode.
-    pub fn restore(bytes: &[u8]) -> Result<KnowledgeStore, SnapshotError> {
-        if bytes.len() < STORE_MAGIC.len() || &bytes[..STORE_MAGIC.len()] != STORE_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let mut r = SnapshotReader::new(&bytes[STORE_MAGIC.len()..]);
-        let version = r.get_u16()?;
-        if version > STORE_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-        let policy = match r.get_u8()? {
-            0 => MergePolicy::Replace,
-            1 => MergePolicy::VisitWeighted,
-            _ => return Err(SnapshotError::Corrupt("unknown merge policy")),
-        };
-        let publishes = r.get_u64()?;
-        let seeds_served = r.get_u64()?;
-        let seed_attempts = r.get_u64()?;
-        let n_entries = r.get_u32()?;
-        let mut entries = BTreeMap::new();
-        for _ in 0..n_entries {
-            let class = match r.get_u8()? {
-                0 => SessionClass::Hr,
-                1 => SessionClass::Lr,
-                _ => return Err(SnapshotError::Corrupt("unknown session class")),
+    /// [`SnapshotError`] on a framing error (see [`Format::read`]), a
+    /// truncated or corrupt body, or an embedded policy snapshot that
+    /// fails to decode.
+    pub fn decode(bytes: &[u8]) -> Result<KnowledgeStore, SnapshotError> {
+        STORE_FORMAT.read(bytes, |r| {
+            let policy = match r.get_u8()? {
+                0 => MergePolicy::Replace,
+                1 => MergePolicy::VisitWeighted,
+                _ => return Err(SnapshotError::Corrupt("unknown merge policy")),
             };
-            let controller = r.get_str()?;
-            let contributions = r.get_u64()?;
-            let snapshot = PolicySnapshot::from_bytes(&r.get_bytes()?)?;
-            if entries
-                .insert(
-                    (class, controller),
-                    ClassKnowledge {
-                        snapshot,
-                        contributions,
-                        acc: None,
-                    },
-                )
-                .is_some()
-            {
-                return Err(SnapshotError::Corrupt("duplicate knowledge entry"));
+            let publishes = r.get_u64()?;
+            let seeds_served = r.get_u64()?;
+            let seed_attempts = r.get_u64()?;
+            // Class byte, empty tag, contributions, empty snapshot.
+            let n_entries = r.get_count(1 + 4 + 8 + 4)?;
+            let mut entries = BTreeMap::new();
+            for _ in 0..n_entries {
+                let class = match r.get_u8()? {
+                    0 => SessionClass::Hr,
+                    1 => SessionClass::Lr,
+                    _ => return Err(SnapshotError::Corrupt("unknown session class")),
+                };
+                let controller = r.get_str()?;
+                let contributions = r.get_u64()?;
+                let snapshot = PolicySnapshot::decode(&r.get_bytes()?)?;
+                if entries
+                    .insert(
+                        (class, controller),
+                        ClassKnowledge {
+                            snapshot,
+                            contributions,
+                            acc: None,
+                        },
+                    )
+                    .is_some()
+                {
+                    return Err(SnapshotError::Corrupt("duplicate knowledge entry"));
+                }
             }
-        }
-        r.expect_end()?;
-        Ok(KnowledgeStore {
-            policy,
-            entries,
-            publishes,
-            seeds_served,
-            seed_attempts,
+            Ok(KnowledgeStore {
+                policy,
+                entries,
+                publishes,
+                seeds_served,
+                seed_attempts,
+            })
         })
     }
 }
@@ -873,8 +863,8 @@ mod tests {
         let reference = flat.knowledge(SessionClass::Hr, "mamut").unwrap();
         assert_eq!(merged.contributions, 2);
         assert_eq!(
-            merged.snapshot.to_bytes(),
-            reference.snapshot.to_bytes(),
+            merged.snapshot.encode(),
+            reference.snapshot.encode(),
             "absorbing a single-contributor store equals publishing it here"
         );
         // Absorbing into an empty store copies entries wholesale.
@@ -886,8 +876,8 @@ mod tests {
                 .knowledge(SessionClass::Hr, "mamut")
                 .unwrap()
                 .snapshot
-                .to_bytes(),
-            merged.snapshot.to_bytes()
+                .encode(),
+            merged.snapshot.encode()
         );
     }
 
@@ -903,7 +893,7 @@ mod tests {
         let adopted = shard.knowledge(SessionClass::Hr, "mamut").unwrap();
         let source = global.knowledge(SessionClass::Hr, "mamut").unwrap();
         assert_eq!(adopted.contributions, source.contributions);
-        assert_eq!(adopted.snapshot.to_bytes(), source.snapshot.to_bytes());
+        assert_eq!(adopted.snapshot.encode(), source.snapshot.encode());
         // The adopted entry merges cleanly afterwards (acc rebuilds).
         assert_eq!(
             shard.publish(SessionClass::Hr, &Controller::snapshot(&trained(4, 4_000))),
@@ -923,13 +913,13 @@ mod tests {
         let mut pupil = MamutController::new(MamutConfig::paper_hr().with_seed(9)).unwrap();
         assert!(store.seed(SessionClass::Hr, &mut pupil));
 
-        let bytes = store.snapshot();
-        let back = KnowledgeStore::restore(&bytes).unwrap();
+        let bytes = store.encode();
+        let back = KnowledgeStore::decode(&bytes).unwrap();
         assert_eq!(back.policy(), MergePolicy::VisitWeighted);
         assert_eq!(back.publishes(), store.publishes());
         assert_eq!(back.seeds_served(), store.seeds_served());
         assert_eq!(back.seed_attempts(), store.seed_attempts());
-        assert_eq!(back.snapshot(), bytes, "re-encoding is byte-identical");
+        assert_eq!(back.encode(), bytes, "re-encoding is byte-identical");
 
         // Warm starts survive the "restart": the restored store seeds a
         // fresh controller with exactly the tables the original would.
@@ -939,8 +929,8 @@ mod tests {
         assert!(store.seed(SessionClass::Hr, &mut a));
         assert!(back.seed(SessionClass::Hr, &mut b));
         assert_eq!(
-            Controller::snapshot(&a).to_bytes(),
-            Controller::snapshot(&b).to_bytes()
+            Controller::snapshot(&a).encode(),
+            Controller::snapshot(&b).encode()
         );
     }
 
@@ -956,46 +946,20 @@ mod tests {
         continuous.publish(SessionClass::Hr, &snaps[0]);
         continuous.publish(SessionClass::Hr, &snaps[1]);
 
-        let mut restarted = KnowledgeStore::restore(
+        let mut restarted = KnowledgeStore::decode(
             &{
                 let mut s = KnowledgeStore::new(MergePolicy::VisitWeighted);
                 s.publish(SessionClass::Hr, &snaps[0]);
                 s.publish(SessionClass::Hr, &snaps[1]);
                 s
             }
-            .snapshot(),
+            .encode(),
         )
         .unwrap();
 
         continuous.publish(SessionClass::Hr, &snaps[2]);
         restarted.publish(SessionClass::Hr, &snaps[2]);
-        assert_eq!(continuous.snapshot(), restarted.snapshot());
-    }
-
-    #[test]
-    fn store_restore_rejects_mangled_streams() {
-        let mut store = KnowledgeStore::new(MergePolicy::Replace);
-        store.publish(SessionClass::Hr, &Controller::snapshot(&trained(1, 2_000)));
-        let bytes = store.snapshot();
-        assert!(matches!(
-            KnowledgeStore::restore(b"NOTASTORE...."),
-            Err(SnapshotError::BadMagic)
-        ));
-        let mut newer = bytes.clone();
-        newer[8] = 0xFF; // bump the version word
-        assert!(matches!(
-            KnowledgeStore::restore(&newer),
-            Err(SnapshotError::UnsupportedVersion(_))
-        ));
-        for cut in 8..bytes.len() {
-            assert!(
-                KnowledgeStore::restore(&bytes[..cut]).is_err(),
-                "cut at {cut} slipped through"
-            );
-        }
-        let mut trailing = bytes;
-        trailing.push(0);
-        assert!(KnowledgeStore::restore(&trailing).is_err());
+        assert_eq!(continuous.encode(), restarted.encode());
     }
 
     #[test]

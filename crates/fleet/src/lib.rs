@@ -109,12 +109,12 @@ pub use dispatch::{
 pub use error::FleetError;
 pub use fault::{
     CheckpointBundle, CheckpointPolicy, FaultEvent, FaultPlan, NodeCheckpoint, SessionCheckpoint,
-    CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+    CHECKPOINT_FORMAT,
 };
-pub use forecast::{Forecaster, HoltWinters, SeasonalNaive, FORECAST_STATE_VERSION};
+pub use forecast::{Forecaster, HoltWinters, SeasonalNaive, FORECAST_FORMAT};
 pub use knowledge::{
     warm_start_factory, ClassKnowledge, KnowledgeStore, MergePolicy, PublishOutcome, SessionClass,
-    SharedKnowledgeStore, STORE_VERSION,
+    SharedKnowledgeStore, STORE_FORMAT,
 };
 pub use node::{ControllerFactory, FleetNode, MigratedSession, NodeState};
 pub use rebalance::{MigrationDirective, PowerQosBalance, Rebalancer, UtilizationBalance};
@@ -122,7 +122,6 @@ pub use shard::{ShardConfig, ShardedFleetSim, ShardedFleetSummary};
 pub use sim::{FleetConfig, FleetSim, NodeProvisioner};
 pub use summary::{FleetSummary, NodeFacts, NodeReport};
 pub use telemetry::{
-    FleetTrace, TelemetryEvent, TelemetryMode, TracedEvent, COORDINATOR_LANE, TRACE_MAGIC,
-    TRACE_VERSION,
+    FleetTrace, TelemetryEvent, TelemetryMode, TracedEvent, COORDINATOR_LANE, TRACE_FORMAT,
 };
 pub use workload::{SessionRequest, Workload, WorkloadConfig, WorkloadError};

@@ -10,7 +10,7 @@
 //! epochs, so migration is deterministic regardless of how many worker
 //! threads advance the nodes.
 
-use crate::dispatch::NodeView;
+use crate::dispatch::{cmp_utilization, NodeView};
 
 /// One migration order: move a session from node `from` to node `to`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,10 +91,7 @@ impl Rebalancer for UtilizationBalance {
         // deterministic for identical loads.
         let mut order: Vec<&NodeView> = nodes.iter().collect();
         order.sort_by(|a, b| {
-            b.utilization()
-                .partial_cmp(&a.utilization())
-                .expect("utilization is finite")
-                .then(a.node_id.cmp(&b.node_id))
+            cmp_utilization(b.utilization(), a.utilization()).then(a.node_id.cmp(&b.node_id))
         });
         let mut directives = Vec::new();
         let pairs = self.max_moves.min(nodes.len() / 2);

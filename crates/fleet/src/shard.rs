@@ -31,6 +31,7 @@ use std::sync::Arc;
 
 use mamut_metrics::UtilizationHistogram;
 
+use crate::dispatch::cmp_utilization;
 use crate::error::FleetError;
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::knowledge::KnowledgeStore;
@@ -374,22 +375,12 @@ impl ShardedFleetSim {
             let source = eligible
                 .iter()
                 .copied()
-                .max_by(|&a, &b| {
-                    utils[&a]
-                        .partial_cmp(&utils[&b])
-                        .expect("utilization is finite")
-                        .then(b.cmp(&a))
-                })
+                .max_by(|&a, &b| cmp_utilization(utils[&a], utils[&b]).then(b.cmp(&a)))
                 .expect("at least two eligible shards");
             let target = eligible
                 .iter()
                 .copied()
-                .min_by(|&a, &b| {
-                    utils[&a]
-                        .partial_cmp(&utils[&b])
-                        .expect("utilization is finite")
-                        .then(a.cmp(&b))
-                })
+                .min_by(|&a, &b| cmp_utilization(utils[&a], utils[&b]).then(a.cmp(&b)))
                 .expect("at least two eligible shards");
             if source == target
                 || utils[&source] <= self.config.overflow_high
@@ -823,7 +814,7 @@ mod tests {
         if let (Some(a), Some(b)) = (a, b) {
             if summary.epochs.is_multiple_of(2) {
                 // The run ended on a sync boundary: stores are identical.
-                assert_eq!(a.snapshot.to_bytes(), b.snapshot.to_bytes());
+                assert_eq!(a.snapshot.encode(), b.snapshot.encode());
             }
         }
     }

@@ -36,7 +36,7 @@ use mamut_metrics::fleet::FleetAggregate;
 use mamut_platform::Platform;
 
 use crate::autoscale::{Autoscaler, ScaleDecision, ScaleSignals};
-use crate::dispatch::{DispatchDecision, Dispatcher, NodeView};
+use crate::dispatch::{cmp_utilization, DispatchDecision, Dispatcher, NodeView};
 use crate::error::FleetError;
 use crate::fault::{CheckpointBundle, CheckpointPolicy, FaultEvent, FaultPlan, NodeCheckpoint};
 use crate::knowledge::{warm_start_factory, SharedKnowledgeStore};
@@ -718,10 +718,7 @@ impl FleetSim {
     pub(crate) fn overflow_detach(&mut self) -> Result<Option<MigratedSession>, FleetError> {
         let mut views = self.active_views();
         views.sort_by(|a, b| {
-            b.utilization()
-                .partial_cmp(&a.utilization())
-                .expect("utilization is finite")
-                .then(a.node_id.cmp(&b.node_id))
+            cmp_utilization(b.utilization(), a.utilization()).then(a.node_id.cmp(&b.node_id))
         });
         for view in views {
             if let Some(sid) = self.nodes[view.node_id].migration_candidate() {
@@ -744,10 +741,7 @@ impl FleetSim {
         let target = views
             .iter()
             .min_by(|a, b| {
-                a.utilization()
-                    .partial_cmp(&b.utilization())
-                    .expect("utilization is finite")
-                    .then(a.node_id.cmp(&b.node_id))
+                cmp_utilization(a.utilization(), b.utilization()).then(a.node_id.cmp(&b.node_id))
             })
             .expect("pool never drains below one active node")
             .node_id;
@@ -864,9 +858,7 @@ impl FleetSim {
             let victim = views
                 .iter()
                 .min_by(|a, b| {
-                    a.utilization()
-                        .partial_cmp(&b.utilization())
-                        .expect("utilization is finite")
+                    cmp_utilization(a.utilization(), b.utilization())
                         .then(b.node_id.cmp(&a.node_id))
                 })
                 .expect("two or more views")
@@ -894,11 +886,7 @@ impl FleetSim {
                     n.refresh();
                     (n.id(), n.view().utilization())
                 })
-                .min_by(|a, b| {
-                    a.1.partial_cmp(&b.1)
-                        .expect("utilization is finite")
-                        .then(a.0.cmp(&b.0))
-                })
+                .min_by(|a, b| cmp_utilization(a.1, b.1).then(a.0.cmp(&b.0)))
                 .map(|(id, _)| id)
                 .expect("pool never drains below one active node");
             self.wake_node(target, self.epoch)?;
@@ -979,7 +967,7 @@ impl FleetSim {
         let knowledge = self
             .knowledge
             .as_ref()
-            .map(|store| store.lock().expect("knowledge store poisoned").snapshot());
+            .map(|store| store.lock().expect("knowledge store poisoned").encode());
         let sessions: u32 = nodes.iter().map(|n| n.sessions.len() as u32).sum();
         let bundle = CheckpointBundle {
             epoch: self.epoch,
@@ -1161,11 +1149,7 @@ impl FleetSim {
                     n.refresh();
                     (n.id(), n.view().utilization())
                 })
-                .min_by(|a, b| {
-                    a.1.partial_cmp(&b.1)
-                        .expect("utilization is finite")
-                        .then(a.0.cmp(&b.0))
-                })
+                .min_by(|a, b| cmp_utilization(a.1, b.1).then(a.0.cmp(&b.0)))
                 .map(|(id, _)| id)
                 .expect("crash guard keeps at least one active node");
             self.wake_node(target, self.epoch)?;

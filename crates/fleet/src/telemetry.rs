@@ -28,16 +28,16 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
-use mamut_core::snapshot::{SnapshotReader, SnapshotWriter};
+use mamut_core::snapshot::Format;
 use mamut_core::SnapshotError;
 
 use crate::autoscale::PolicySource;
 
-/// Magic prefix of an encoded [`FleetTrace`].
-pub const TRACE_MAGIC: &[u8; 8] = b"MAMUTTL\0";
-
-/// Current trace codec version.
-pub const TRACE_VERSION: u16 = 1;
+/// Framing of an encoded [`FleetTrace`].
+pub const TRACE_FORMAT: Format = Format {
+    magic: b"MAMUTTL\0",
+    version: 1,
+};
 
 /// Lane index [`FleetTrace::merge_sharded`] assigns to coordinator-level
 /// events (knowledge sync, overflow routing) so they never collide with
@@ -358,14 +358,10 @@ impl FleetTrace {
         }
     }
 
-    /// Canonical binary encoding (`MAMUTTL`): decoding then re-encoding
-    /// reproduces the bytes exactly.
+    /// Canonical binary encoding under [`TRACE_FORMAT`]: decoding then
+    /// re-encoding reproduces the bytes exactly.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-        for &b in TRACE_MAGIC {
-            w.put_u8(b);
-        }
-        w.put_u16(TRACE_VERSION);
+        let mut w = TRACE_FORMAT.writer();
         w.put_f64(self.epoch_s);
         w.put_u64(self.dropped_epochs);
         w.put_u32(self.events.len() as u32);
@@ -497,114 +493,102 @@ impl FleetTrace {
         w.into_bytes()
     }
 
-    /// Decodes an encoded trace, rejecting wrong magic, future versions,
-    /// truncation and malformed shapes.
+    /// Decodes an encoded trace, rejecting framing errors (see
+    /// [`Format::read`]), truncation and malformed shapes.
     pub fn decode(bytes: &[u8]) -> Result<FleetTrace, SnapshotError> {
-        let mut r = SnapshotReader::new(bytes);
-        for &expected in TRACE_MAGIC {
-            if r.get_u8()? != expected {
-                return Err(SnapshotError::BadMagic);
+        TRACE_FORMAT.read(bytes, |r| {
+            let epoch_s = r.get_f64()?;
+            let dropped_epochs = r.get_u64()?;
+            let count = r.get_count(MIN_EVENT_BYTES)?;
+            let mut events = Vec::with_capacity(count);
+            for _ in 0..count {
+                let epoch = r.get_u64()?;
+                let at_us = r.get_u64()?;
+                let shard = r.get_u32()?;
+                let event = match r.get_u8()? {
+                    0 => TelemetryEvent::EpochBegin {
+                        active_nodes: r.get_u32()?,
+                    },
+                    1 => TelemetryEvent::EpochEnd,
+                    2 => TelemetryEvent::DispatchAssign {
+                        session: r.get_u64()?,
+                        node: r.get_u32()?,
+                    },
+                    3 => TelemetryEvent::DispatchQueue {
+                        session: r.get_u64()?,
+                    },
+                    4 => TelemetryEvent::DispatchReject {
+                        session: r.get_u64()?,
+                    },
+                    5 => TelemetryEvent::DispatchShed {
+                        session: r.get_u64()?,
+                    },
+                    6 => TelemetryEvent::Autoscale {
+                        delta: r.get_u64()? as i64,
+                        source: decode_policy_source(r.get_u8()?)?,
+                        detail: r.get_str()?,
+                    },
+                    7 => TelemetryEvent::NodeCommission { node: r.get_u32()? },
+                    8 => TelemetryEvent::NodeRetire { node: r.get_u32()? },
+                    9 => TelemetryEvent::NodeCrash {
+                        node: r.get_u32()?,
+                        sessions_lost: r.get_u32()?,
+                    },
+                    10 => TelemetryEvent::ThrottleStart {
+                        node: r.get_u32()?,
+                        freq_cap_ghz: r.get_f64()?,
+                        until_epoch: r.get_u64()?,
+                    },
+                    11 => TelemetryEvent::ThrottleEnd { node: r.get_u32()? },
+                    12 => TelemetryEvent::SessionRecovered {
+                        session: r.get_u64()?,
+                        node: r.get_u32()?,
+                        frames_redone: r.get_u64()?,
+                        from_checkpoint: r.get_bool()?,
+                    },
+                    13 => TelemetryEvent::CheckpointCaptured {
+                        sessions: r.get_u32()?,
+                        bytes: r.get_u64()?,
+                    },
+                    14 => TelemetryEvent::SessionDetach {
+                        session: r.get_u64()?,
+                        node: r.get_u32()?,
+                    },
+                    15 => TelemetryEvent::SessionAttach {
+                        session: r.get_u64()?,
+                        node: r.get_u32()?,
+                    },
+                    16 => TelemetryEvent::SessionEnd {
+                        session: r.get_u64()?,
+                        node: r.get_u32()?,
+                        frames: r.get_u64()?,
+                    },
+                    17 => TelemetryEvent::KnowledgeSync {
+                        stores: r.get_u32()?,
+                    },
+                    18 => TelemetryEvent::SyncRoundLost,
+                    19 => TelemetryEvent::OverflowMigration {
+                        session: r.get_u64()?,
+                        from_shard: r.get_u32()?,
+                        to_shard: r.get_u32()?,
+                    },
+                    20 => TelemetryEvent::Mark {
+                        label: r.get_str()?,
+                    },
+                    _ => return Err(SnapshotError::Corrupt("unknown telemetry event kind")),
+                };
+                events.push(TracedEvent {
+                    epoch,
+                    at_us,
+                    shard,
+                    event,
+                });
             }
-        }
-        let version = r.get_u16()?;
-        if version > TRACE_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-        let epoch_s = r.get_f64()?;
-        let dropped_epochs = r.get_u64()?;
-        let count = r.get_u32()?;
-        if count as usize > r.remaining() / MIN_EVENT_BYTES {
-            return Err(SnapshotError::Truncated);
-        }
-        let mut events = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let epoch = r.get_u64()?;
-            let at_us = r.get_u64()?;
-            let shard = r.get_u32()?;
-            let event = match r.get_u8()? {
-                0 => TelemetryEvent::EpochBegin {
-                    active_nodes: r.get_u32()?,
-                },
-                1 => TelemetryEvent::EpochEnd,
-                2 => TelemetryEvent::DispatchAssign {
-                    session: r.get_u64()?,
-                    node: r.get_u32()?,
-                },
-                3 => TelemetryEvent::DispatchQueue {
-                    session: r.get_u64()?,
-                },
-                4 => TelemetryEvent::DispatchReject {
-                    session: r.get_u64()?,
-                },
-                5 => TelemetryEvent::DispatchShed {
-                    session: r.get_u64()?,
-                },
-                6 => TelemetryEvent::Autoscale {
-                    delta: r.get_u64()? as i64,
-                    source: decode_policy_source(r.get_u8()?)?,
-                    detail: r.get_str()?,
-                },
-                7 => TelemetryEvent::NodeCommission { node: r.get_u32()? },
-                8 => TelemetryEvent::NodeRetire { node: r.get_u32()? },
-                9 => TelemetryEvent::NodeCrash {
-                    node: r.get_u32()?,
-                    sessions_lost: r.get_u32()?,
-                },
-                10 => TelemetryEvent::ThrottleStart {
-                    node: r.get_u32()?,
-                    freq_cap_ghz: r.get_f64()?,
-                    until_epoch: r.get_u64()?,
-                },
-                11 => TelemetryEvent::ThrottleEnd { node: r.get_u32()? },
-                12 => TelemetryEvent::SessionRecovered {
-                    session: r.get_u64()?,
-                    node: r.get_u32()?,
-                    frames_redone: r.get_u64()?,
-                    from_checkpoint: r.get_bool()?,
-                },
-                13 => TelemetryEvent::CheckpointCaptured {
-                    sessions: r.get_u32()?,
-                    bytes: r.get_u64()?,
-                },
-                14 => TelemetryEvent::SessionDetach {
-                    session: r.get_u64()?,
-                    node: r.get_u32()?,
-                },
-                15 => TelemetryEvent::SessionAttach {
-                    session: r.get_u64()?,
-                    node: r.get_u32()?,
-                },
-                16 => TelemetryEvent::SessionEnd {
-                    session: r.get_u64()?,
-                    node: r.get_u32()?,
-                    frames: r.get_u64()?,
-                },
-                17 => TelemetryEvent::KnowledgeSync {
-                    stores: r.get_u32()?,
-                },
-                18 => TelemetryEvent::SyncRoundLost,
-                19 => TelemetryEvent::OverflowMigration {
-                    session: r.get_u64()?,
-                    from_shard: r.get_u32()?,
-                    to_shard: r.get_u32()?,
-                },
-                20 => TelemetryEvent::Mark {
-                    label: r.get_str()?,
-                },
-                _ => return Err(SnapshotError::Corrupt("unknown telemetry event kind")),
-            };
-            events.push(TracedEvent {
-                epoch,
-                at_us,
-                shard,
-                event,
-            });
-        }
-        r.expect_end()?;
-        Ok(FleetTrace {
-            epoch_s,
-            dropped_epochs,
-            events,
+            Ok(FleetTrace {
+                epoch_s,
+                dropped_epochs,
+                events,
+            })
         })
     }
 
@@ -1117,36 +1101,8 @@ mod tests {
     }
 
     #[test]
-    fn truncated_bytes_are_rejected() {
-        let bytes = sample_trace().encode();
-        for cut in [5, 10, 29, 31, bytes.len() - 1] {
-            assert!(
-                FleetTrace::decode(&bytes[..cut]).is_err(),
-                "decode of {cut}-byte prefix should fail"
-            );
-        }
-        // Trailing garbage is a shape error, not silently ignored.
-        let mut longer = bytes.clone();
-        longer.push(0);
-        assert!(FleetTrace::decode(&longer).is_err());
-    }
-
-    #[test]
-    fn wrong_magic_and_future_version_are_rejected() {
-        let mut bytes = sample_trace().encode();
-        let good = bytes.clone();
-        bytes[0] = b'X';
-        assert!(matches!(
-            FleetTrace::decode(&bytes),
-            Err(SnapshotError::BadMagic)
-        ));
-        let mut future = good.clone();
-        future[8] = 0xFF;
-        future[9] = 0xFF;
-        assert!(matches!(
-            FleetTrace::decode(&future),
-            Err(SnapshotError::UnsupportedVersion(_))
-        ));
+    fn huge_counts_and_unknown_kinds_are_rejected() {
+        let good = sample_trace().encode();
         // A declared event count far beyond the buffer is truncation, not
         // an allocation attempt.
         let mut huge = good.clone();

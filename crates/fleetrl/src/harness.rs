@@ -127,8 +127,9 @@ impl Trainer {
         self.driver.clone()
     }
 
-    /// Serializes the learned policy.
-    pub fn snapshot(&self) -> Vec<u8> {
+    /// Serializes the learned policy (see [`FleetPolicy::snapshot_state`]);
+    /// [`Trainer::warm_start`] restores it into another trainer.
+    pub fn snapshot_state(&self) -> Vec<u8> {
         self.driver.lock().expect("driver lock").snapshot_state()
     }
 
@@ -314,7 +315,7 @@ mod tests {
                 ..quick_cfg()
             });
             t.train_scenario(&catalog::flash_mob());
-            t.snapshot()
+            t.snapshot_state()
         };
         let reference = snap(1);
         assert_eq!(reference, snap(2), "2 workers diverged");
@@ -325,11 +326,11 @@ mod tests {
     fn evaluation_is_greedy_and_repeatable() {
         let mut t = Trainer::new(quick_cfg());
         t.train_scenario(&catalog::daily_vod());
-        let before = t.snapshot();
+        let before = t.snapshot_state();
         let a = t.evaluate(&catalog::daily_vod());
         let b = t.evaluate(&catalog::daily_vod());
         assert_eq!(a.to_string(), b.to_string(), "greedy eval must repeat");
-        assert_eq!(t.snapshot(), before, "evaluation must not learn");
+        assert_eq!(t.snapshot_state(), before, "evaluation must not learn");
         assert!(a.greedy_actions > 0, "eval decisions are all greedy");
         assert_eq!(a.exploratory_actions, 0);
     }
@@ -338,7 +339,7 @@ mod tests {
     fn warm_start_resumes_the_schedule_instead_of_restarting() {
         let mut donor = Trainer::new(quick_cfg());
         donor.train_scenario(&catalog::daily_vod());
-        let bytes = donor.snapshot();
+        let bytes = donor.snapshot_state();
 
         let mut cold = Trainer::new(quick_cfg());
         let mut warm = Trainer::new(quick_cfg());

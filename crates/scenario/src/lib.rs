@@ -27,8 +27,8 @@
 //!    same presets — `examples/scenario_sweep.rs`).
 //! 3. **Persistence** — realized traces encode through the same
 //!    std-only binary codec as policy snapshots
-//!    ([`RealizedScenario::to_bytes`] /
-//!    [`RealizedScenario::from_bytes`], module [`trace`]), and
+//!    ([`RealizedScenario::encode`] /
+//!    [`RealizedScenario::decode`], module [`trace`]), and
 //!    forecaster state travels via
 //!    [`Forecaster::snapshot_state`] — so whole sweeps are replayable
 //!    byte-for-byte across process restarts.
@@ -77,7 +77,7 @@ pub mod trace;
 
 pub use phase::{MixProfile, Phase};
 pub use scenario::{RealizedScenario, Scenario, ScenarioError};
-pub use trace::TRACE_VERSION;
+pub use trace::SCENARIO_FORMAT;
 
 // The forecasting layer lives in `mamut-fleet` (the `ForecastScaler`
 // consumes it inside the autoscaler), but it is evaluated against the

@@ -222,7 +222,7 @@ impl Scenario {
 /// This is the replayable unit: feed [`RealizedScenario::workload`] to
 /// a `FleetSim`, annotate the run with
 /// [`RealizedScenario::phase_marks`], and persist the whole thing
-/// byte-for-byte through [`RealizedScenario::to_bytes`] (see
+/// byte-for-byte through [`RealizedScenario::encode`] (see
 /// [`crate::trace`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RealizedScenario {

@@ -9,26 +9,22 @@
 //! the horizon are encoded as IEEE-754 bit patterns; encode → decode →
 //! encode is byte-identical.
 
-use mamut_core::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
+use mamut_core::snapshot::{Format, SnapshotError};
 use mamut_fleet::SessionRequest;
 
 use crate::scenario::RealizedScenario;
 
-/// Magic bytes opening every encoded scenario trace.
-const TRACE_MAGIC: &[u8; 8] = b"MAMUTSC\0";
-
-/// Current trace codec version. Decoders reject anything newer.
-pub const TRACE_VERSION: u16 = 1;
+/// Framing of an encoded [`RealizedScenario`].
+pub const SCENARIO_FORMAT: Format = Format {
+    magic: b"MAMUTSC\0",
+    version: 1,
+};
 
 impl RealizedScenario {
     /// Encodes the realized trace — name, seed, horizon, phase marks
-    /// and every arrival — into the versioned binary format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-        for &b in TRACE_MAGIC {
-            w.put_u8(b);
-        }
-        w.put_u16(TRACE_VERSION);
+    /// and every arrival — under [`SCENARIO_FORMAT`].
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = SCENARIO_FORMAT.writer();
         w.put_str(&self.name);
         w.put_u64(self.seed);
         w.put_f64(self.horizon_s);
@@ -49,77 +45,60 @@ impl RealizedScenario {
         w.into_bytes()
     }
 
-    /// Decodes a trace produced by [`RealizedScenario::to_bytes`].
+    /// Decodes a trace produced by [`RealizedScenario::encode`].
     ///
     /// # Errors
     ///
-    /// [`SnapshotError`] for a stream this codec cannot accept: bad
-    /// magic, a newer version, truncation, non-finite or unsorted
-    /// arrival times, or zero-length sessions.
-    pub fn from_bytes(bytes: &[u8]) -> Result<RealizedScenario, SnapshotError> {
-        if bytes.len() < TRACE_MAGIC.len() || &bytes[..TRACE_MAGIC.len()] != TRACE_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let mut r = SnapshotReader::new(&bytes[TRACE_MAGIC.len()..]);
-        let version = r.get_u16()?;
-        if version > TRACE_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-        let name = r.get_str()?;
-        let seed = r.get_u64()?;
-        let horizon_s = r.get_f64()?;
-        if !(horizon_s.is_finite() && horizon_s >= 0.0) {
-            return Err(SnapshotError::Corrupt("invalid scenario horizon"));
-        }
-        let n_marks = r.get_u32()? as usize;
-        if n_marks > r.remaining() / 12 {
-            return Err(SnapshotError::Truncated);
-        }
-        let mut marks = Vec::with_capacity(n_marks);
-        for _ in 0..n_marks {
-            let t = r.get_f64()?;
-            if !t.is_finite() {
-                return Err(SnapshotError::Corrupt("non-finite phase mark"));
+    /// [`SnapshotError`] for a stream this codec cannot accept: a
+    /// framing error (see [`Format::read`]), truncation, non-finite or
+    /// unsorted arrival times, or zero-length sessions.
+    pub fn decode(bytes: &[u8]) -> Result<RealizedScenario, SnapshotError> {
+        SCENARIO_FORMAT.read(bytes, |r| {
+            let name = r.get_str()?;
+            let seed = r.get_u64()?;
+            let horizon_s = r.get_f64()?;
+            if !(horizon_s.is_finite() && horizon_s >= 0.0) {
+                return Err(SnapshotError::Corrupt("invalid scenario horizon"));
             }
-            marks.push((t, r.get_str()?));
-        }
-        let n_arrivals = r.get_u32()? as usize;
-        // Every arrival costs 34 encoded bytes; a count beyond the
-        // remaining input is a truncation, not an allocation request.
-        if n_arrivals > r.remaining() / 34 {
-            return Err(SnapshotError::Truncated);
-        }
-        let mut arrivals: Vec<SessionRequest> = Vec::with_capacity(n_arrivals);
-        for _ in 0..n_arrivals {
-            let request = SessionRequest {
-                id: r.get_u64()?,
-                arrival_s: r.get_f64()?,
-                hr: r.get_bool()?,
-                live: r.get_bool()?,
-                frames: r.get_u64()?,
-                seed: r.get_u64()?,
-            };
-            if !request.arrival_s.is_finite() {
-                return Err(SnapshotError::Corrupt("non-finite arrival time"));
+            let n_marks = r.get_count(12)?;
+            let mut marks = Vec::with_capacity(n_marks);
+            for _ in 0..n_marks {
+                let t = r.get_finite("non-finite phase mark")?;
+                marks.push((t, r.get_str()?));
             }
-            if request.frames == 0 {
-                return Err(SnapshotError::Corrupt("zero-length session"));
+            // Every arrival costs 34 encoded bytes.
+            let n_arrivals = r.get_count(34)?;
+            let mut arrivals: Vec<SessionRequest> = Vec::with_capacity(n_arrivals);
+            for _ in 0..n_arrivals {
+                let request = SessionRequest {
+                    id: r.get_u64()?,
+                    arrival_s: r.get_f64()?,
+                    hr: r.get_bool()?,
+                    live: r.get_bool()?,
+                    frames: r.get_u64()?,
+                    seed: r.get_u64()?,
+                };
+                if !request.arrival_s.is_finite() {
+                    return Err(SnapshotError::Corrupt("non-finite arrival time"));
+                }
+                if request.frames == 0 {
+                    return Err(SnapshotError::Corrupt("zero-length session"));
+                }
+                if arrivals
+                    .last()
+                    .is_some_and(|prev| prev.arrival_s > request.arrival_s)
+                {
+                    return Err(SnapshotError::Corrupt("arrivals out of order"));
+                }
+                arrivals.push(request);
             }
-            if arrivals
-                .last()
-                .is_some_and(|prev| prev.arrival_s > request.arrival_s)
-            {
-                return Err(SnapshotError::Corrupt("arrivals out of order"));
-            }
-            arrivals.push(request);
-        }
-        r.expect_end()?;
-        Ok(RealizedScenario {
-            name,
-            seed,
-            horizon_s,
-            arrivals,
-            marks,
+            Ok(RealizedScenario {
+                name,
+                seed,
+                horizon_s,
+                arrivals,
+                marks,
+            })
         })
     }
 }
@@ -136,36 +115,12 @@ mod tests {
     #[test]
     fn round_trip_preserves_the_trace_exactly() {
         let trace = sample();
-        let bytes = trace.to_bytes();
-        let back = RealizedScenario::from_bytes(&bytes).unwrap();
+        let bytes = trace.encode();
+        let back = RealizedScenario::decode(&bytes).unwrap();
         assert_eq!(back, trace);
-        assert_eq!(back.to_bytes(), bytes, "re-encoding is byte-identical");
+        assert_eq!(back.encode(), bytes, "re-encoding is byte-identical");
         // The decoded trace replays through the same fleet entry point.
         assert_eq!(back.workload().len(), trace.len());
-    }
-
-    #[test]
-    fn bad_magic_version_and_truncation_are_rejected() {
-        let bytes = sample().to_bytes();
-        assert_eq!(
-            RealizedScenario::from_bytes(b"NOTATRACE...."),
-            Err(SnapshotError::BadMagic)
-        );
-        let mut newer = bytes.clone();
-        newer[TRACE_MAGIC.len()] = 0xFF;
-        assert!(matches!(
-            RealizedScenario::from_bytes(&newer),
-            Err(SnapshotError::UnsupportedVersion(_))
-        ));
-        for cut in TRACE_MAGIC.len()..bytes.len() {
-            assert!(
-                RealizedScenario::from_bytes(&bytes[..cut]).is_err(),
-                "cut at {cut} slipped through"
-            );
-        }
-        let mut trailing = bytes;
-        trailing.push(7);
-        assert!(RealizedScenario::from_bytes(&trailing).is_err());
     }
 
     #[test]
@@ -173,19 +128,19 @@ mod tests {
         let mut trace = sample();
         trace.arrivals[0].arrival_s = f64::NAN;
         assert_eq!(
-            RealizedScenario::from_bytes(&trace.to_bytes()),
+            RealizedScenario::decode(&trace.encode()),
             Err(SnapshotError::Corrupt("non-finite arrival time"))
         );
         let mut trace = sample();
         trace.arrivals[1].frames = 0;
         assert_eq!(
-            RealizedScenario::from_bytes(&trace.to_bytes()),
+            RealizedScenario::decode(&trace.encode()),
             Err(SnapshotError::Corrupt("zero-length session"))
         );
         let mut trace = sample();
         trace.arrivals.swap(0, 1);
         assert_eq!(
-            RealizedScenario::from_bytes(&trace.to_bytes()),
+            RealizedScenario::decode(&trace.encode()),
             Err(SnapshotError::Corrupt("arrivals out of order"))
         );
     }

@@ -439,7 +439,7 @@ impl TranscodeSession {
         w.put_f64(source.content.current);
         w.put_u64(source.content.next_index);
         w.put_u64(source.remaining);
-        w.put_bytes(&self.controller.snapshot().to_bytes());
+        w.put_bytes(&self.controller.snapshot().encode());
         match &self.in_flight {
             None => w.put_bool(false),
             Some(fly) => {
@@ -522,10 +522,7 @@ impl TranscodeSession {
         bytes: &[u8],
     ) -> Result<TranscodeSession, SnapshotError> {
         let mut r = SnapshotReader::new(bytes);
-        let version = r.get_u16()?;
-        if version > SESSION_CHECKPOINT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
+        r.expect_version(SESSION_CHECKPOINT_VERSION)?;
         let playlist_pos = r.get_u32()? as usize;
         let finished = r.get_bool()?;
         let frame_counter = r.get_u64()?;
@@ -544,7 +541,7 @@ impl TranscodeSession {
             },
             remaining: r.get_u64()?,
         };
-        let policy = PolicySnapshot::from_bytes(&r.get_bytes()?)?;
+        let policy = PolicySnapshot::decode(&r.get_bytes()?)?;
         let in_flight = if r.get_bool()? {
             Some(InFlight {
                 work_remaining: r.get_f64()?,

@@ -137,14 +137,18 @@ fn main() {
     println!("\ntransfer study — daily_vod -> live_final:");
     let mut donor = Trainer::new(TrainConfig::default());
     donor.train_scenario(&catalog::daily_vod());
-    let snapshot = donor.snapshot();
+    let snapshot = donor.snapshot_state();
 
     // The policy snapshot is canonical: restore -> re-encode is
     // byte-identical (the portability contract every MAMUT learned
     // state honors).
     let mut probe = Trainer::new(TrainConfig::default());
     probe.warm_start(&snapshot).expect("snapshot restores");
-    assert_eq!(probe.snapshot(), snapshot, "snapshot round-trip drifted");
+    assert_eq!(
+        probe.snapshot_state(),
+        snapshot,
+        "snapshot round-trip drifted"
+    );
 
     let mut cold = Trainer::new(TrainConfig::default());
     let cold_report = cold.train_scenario(&catalog::live_final());

@@ -8,7 +8,7 @@
 
 use mamut::fleet::{
     ControllerFactory, DispatchDecision, Dispatcher, FleetError, NodeView, PolicySource,
-    SessionRequest, TRACE_MAGIC,
+    SessionRequest, TRACE_FORMAT,
 };
 use mamut::prelude::*;
 use proptest::prelude::*;
@@ -99,7 +99,7 @@ fn traces_are_byte_identical_across_worker_counts() {
         fleet.trace().encode()
     };
     let sequential = trace_bytes(1);
-    assert_eq!(&sequential[..TRACE_MAGIC.len()], TRACE_MAGIC);
+    assert_eq!(&sequential[..8], TRACE_FORMAT.magic);
     for workers in worker_counts(&[2, 8]) {
         assert_eq!(
             sequential,
@@ -185,7 +185,7 @@ fn a_chaos_trace_round_trips_and_conserves_events() {
 
     // Truncation is rejected, not misread.
     assert!(FleetTrace::decode(&bytes[..bytes.len() - 1]).is_err());
-    assert!(FleetTrace::decode(&bytes[..TRACE_MAGIC.len()]).is_err());
+    assert!(FleetTrace::decode(&bytes[..8]).is_err());
 }
 
 /// Dispatches normally until a late arrival shows up, then returns an
@@ -403,7 +403,7 @@ proptest! {
             .collect();
         let trace = FleetTrace { epoch_s, dropped_epochs: dropped, events };
         let bytes = trace.encode();
-        prop_assert_eq!(&bytes[..TRACE_MAGIC.len()], TRACE_MAGIC);
+        prop_assert_eq!(&bytes[..8], TRACE_FORMAT.magic);
         let decoded = FleetTrace::decode(&bytes)
             .map_err(|e| format!("decode failed: {e:?}"))?;
         prop_assert_eq!(&decoded, &trace);

@@ -42,7 +42,7 @@ fn train_and_eval(workers: usize) -> (Vec<u8>, String) {
     trainer.train_scenario(&catalog::daily_vod());
     trainer.train_scenario(&catalog::flash_mob());
     let summary = trainer.evaluate(&catalog::live_final());
-    (trainer.snapshot(), summary.to_string())
+    (trainer.snapshot_state(), summary.to_string())
 }
 
 #[test]
@@ -70,7 +70,7 @@ fn training_and_evaluation_are_identical_across_worker_counts() {
 fn a_restored_trainer_continues_exactly_like_the_original() {
     let mut original = Trainer::new(quick_cfg(4));
     original.train_scenario(&catalog::daily_vod());
-    let checkpoint = original.snapshot();
+    let checkpoint = original.snapshot_state();
 
     let mut resumed = Trainer::new(quick_cfg(4));
     resumed
@@ -82,8 +82,8 @@ fn a_restored_trainer_continues_exactly_like_the_original() {
     let b = resumed.train_scenario(&catalog::live_final());
     assert_eq!(a, b, "training reports diverged after restore");
     assert_eq!(
-        original.snapshot(),
-        resumed.snapshot(),
+        original.snapshot_state(),
+        resumed.snapshot_state(),
         "policies diverged after identical post-restore training"
     );
     assert_eq!(

@@ -101,11 +101,11 @@ proptest! {
         let a = scenario.realize().expect("synth scenarios are valid");
         let b = scenario.realize().expect("synth scenarios are valid");
         prop_assert_eq!(&a, &b, "same value, different realization");
-        let bytes = a.to_bytes();
-        prop_assert_eq!(&bytes, &b.to_bytes(), "same trace, different bytes");
-        let decoded = RealizedScenario::from_bytes(&bytes).expect("own bytes decode");
+        let bytes = a.encode();
+        prop_assert_eq!(&bytes, &b.encode(), "same trace, different bytes");
+        let decoded = RealizedScenario::decode(&bytes).expect("own bytes decode");
         prop_assert_eq!(&decoded, &a);
-        prop_assert_eq!(decoded.to_bytes(), bytes, "re-encode drifted");
+        prop_assert_eq!(decoded.encode(), bytes, "re-encode drifted");
     }
 }
 
@@ -162,7 +162,7 @@ fn catalog_presets_realize_identically_every_time() {
     for scenario in catalog::all() {
         let a = scenario.realize().unwrap();
         let b = scenario.realize().unwrap();
-        assert_eq!(a.to_bytes(), b.to_bytes(), "{} drifted", scenario.name());
+        assert_eq!(a.encode(), b.encode(), "{} drifted", scenario.name());
     }
 }
 
@@ -171,7 +171,7 @@ fn replaying_a_decoded_trace_reproduces_the_run() {
     // Persist → restart → replay: the decoded trace must drive the
     // fleet to the very same summary as the fresh realization.
     let realized = catalog::flash_mob().realize().unwrap();
-    let decoded = RealizedScenario::from_bytes(&realized.to_bytes()).unwrap();
+    let decoded = RealizedScenario::decode(&realized.encode()).unwrap();
     assert_eq!(
         stack_summary_text(&realized, 2),
         stack_summary_text(&decoded, 2)

@@ -63,12 +63,12 @@ proptest! {
             ],
             extra: seed.to_le_bytes().to_vec(),
         };
-        let bytes = snap.to_bytes();
-        let decoded = PolicySnapshot::from_bytes(&bytes).unwrap();
-        let reencoded = decoded.to_bytes();
+        let bytes = snap.encode();
+        let decoded = PolicySnapshot::decode(&bytes).unwrap();
+        let reencoded = decoded.encode();
         prop_assert_eq!(&bytes, &reencoded);
         // And a second decode sees the very same structure.
-        prop_assert_eq!(decoded, PolicySnapshot::from_bytes(&reencoded).unwrap());
+        prop_assert_eq!(decoded, PolicySnapshot::decode(&reencoded).unwrap());
     }
 
     #[test]
@@ -85,9 +85,9 @@ proptest! {
             agents: vec![synth_agent(seed, 12, 5, fill)],
             extra: vec![7; (seed % 9) as usize],
         };
-        let bytes = snap.to_bytes();
+        let bytes = snap.encode();
         let cut = bytes.len().saturating_sub(cut_back);
-        prop_assert!(PolicySnapshot::from_bytes(&bytes[..cut]).is_err());
+        prop_assert!(PolicySnapshot::decode(&bytes[..cut]).is_err());
     }
 
     #[test]
@@ -109,9 +109,9 @@ proptest! {
             ctl.end_frame(f, &o, &c);
         }
         let snap = Controller::snapshot(&ctl);
-        let bytes = snap.to_bytes();
-        let decoded = PolicySnapshot::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(decoded.to_bytes(), bytes);
+        let bytes = snap.encode();
+        let decoded = PolicySnapshot::decode(&bytes).unwrap();
+        prop_assert_eq!(decoded.encode(), bytes);
         prop_assert_eq!(decoded.agents.len(), 3);
         for agent in &decoded.agents {
             prop_assert_eq!(agent.n_states as usize, STATE_COUNT);
@@ -138,7 +138,7 @@ fn restored_controller_is_indistinguishable_inside_a_server() {
             summary.sessions[id].mean_fps,
             summary.sessions[id].mean_psnr_db,
             summary.duration_s,
-            server.into_controllers().remove(0).snapshot().to_bytes(),
+            server.into_controllers().remove(0).snapshot().encode(),
         )
     };
 
@@ -155,11 +155,11 @@ fn restored_controller_is_indistinguishable_inside_a_server() {
     );
     trainer.run_to_completion(1_000_000).unwrap();
     let trained = trainer.into_controllers().remove(0);
-    let bytes = trained.snapshot().to_bytes();
+    let bytes = trained.snapshot().encode();
 
     // Clone it through the codec and race the two over the same video.
     let revive = || {
-        let snap = PolicySnapshot::from_bytes(&bytes).unwrap();
+        let snap = PolicySnapshot::decode(&bytes).unwrap();
         let mut ctl = MamutController::new(cfg.clone()).unwrap();
         ctl.restore(&snap).unwrap();
         Box::new(ctl) as Box<dyn Controller>
@@ -170,15 +170,15 @@ fn restored_controller_is_indistinguishable_inside_a_server() {
 #[test]
 fn decode_rejects_garbage_and_wrong_versions() {
     assert_eq!(
-        PolicySnapshot::from_bytes(b"garbage"),
+        PolicySnapshot::decode(b"garbage"),
         Err(SnapshotError::BadMagic)
     );
-    let good = PolicySnapshot::tableless("fixed", KnobSettings::new(32, 4, 2.6)).to_bytes();
+    let good = PolicySnapshot::tableless("fixed", KnobSettings::new(32, 4, 2.6)).encode();
     let mut versioned = good.clone();
-    versioned[8] = 0x7F; // inflate the version field past SNAPSHOT_VERSION
+    versioned[8] = 0x7F; // inflate the version field past POLICY_FORMAT.version
     assert!(matches!(
-        PolicySnapshot::from_bytes(&versioned),
+        PolicySnapshot::decode(&versioned),
         Err(SnapshotError::UnsupportedVersion(_))
     ));
-    assert!(PolicySnapshot::from_bytes(&good).is_ok());
+    assert!(PolicySnapshot::decode(&good).is_ok());
 }
