@@ -805,6 +805,17 @@ mod tests {
     }
 
     #[test]
+    fn truncation_is_detected_at_every_length() {
+        let bytes = sample().encode();
+        for cut in POLICY_FORMAT.magic.len()..bytes.len() {
+            assert!(
+                PolicySnapshot::decode(&bytes[..cut]).is_err(),
+                "cut at {cut} slipped through"
+            );
+        }
+    }
+
+    #[test]
     fn finite_and_tag_helpers_reject_bad_fields() {
         let mut w = SnapshotWriter::new();
         w.put_f64(f64::NAN);

@@ -469,6 +469,18 @@ mod tests {
     }
 
     #[test]
+    fn newer_versions_are_rejected() {
+        let mut bytes = bundle().encode();
+        // The version u16 sits right after the 8-byte magic.
+        bytes[8] = 0xFF;
+        bytes[9] = 0xFF;
+        assert!(matches!(
+            CheckpointBundle::decode(&bytes),
+            Err(SnapshotError::UnsupportedVersion(_))
+        ));
+    }
+
+    #[test]
     fn plan_builders_keep_events_sorted() {
         let plan = FaultPlan::new()
             .with_throttle(9, 1, 1.8, 3)

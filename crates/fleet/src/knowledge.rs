@@ -963,6 +963,32 @@ mod tests {
     }
 
     #[test]
+    fn store_restore_rejects_mangled_streams() {
+        let mut store = KnowledgeStore::new(MergePolicy::Replace);
+        store.publish(SessionClass::Hr, &Controller::snapshot(&trained(1, 2_000)));
+        let bytes = store.encode();
+        assert!(matches!(
+            KnowledgeStore::decode(b"NOTASTORE...."),
+            Err(SnapshotError::BadMagic)
+        ));
+        let mut newer = bytes.clone();
+        newer[8] = 0xFF; // bump the version word
+        assert!(matches!(
+            KnowledgeStore::decode(&newer),
+            Err(SnapshotError::UnsupportedVersion(_))
+        ));
+        for cut in 8..bytes.len() {
+            assert!(
+                KnowledgeStore::decode(&bytes[..cut]).is_err(),
+                "cut at {cut} slipped through"
+            );
+        }
+        let mut trailing = bytes;
+        trailing.push(0);
+        assert!(KnowledgeStore::decode(&trailing).is_err());
+    }
+
+    #[test]
     fn warm_start_factory_with_no_class_entry_stays_cold() {
         // An empty store: the factory must hand out the base controller
         // untouched (and count the failed attempt), not fail or block.

@@ -1101,6 +1101,21 @@ mod tests {
     }
 
     #[test]
+    fn truncated_bytes_are_rejected() {
+        let bytes = sample_trace().encode();
+        for cut in [5, 10, 29, 31, bytes.len() - 1] {
+            assert!(
+                FleetTrace::decode(&bytes[..cut]).is_err(),
+                "decode of {cut}-byte prefix should fail"
+            );
+        }
+        // Trailing garbage is a shape error, not silently ignored.
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert!(FleetTrace::decode(&longer).is_err());
+    }
+
+    #[test]
     fn huge_counts_and_unknown_kinds_are_rejected() {
         let good = sample_trace().encode();
         // A declared event count far beyond the buffer is truncation, not

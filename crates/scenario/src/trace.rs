@@ -124,6 +124,30 @@ mod tests {
     }
 
     #[test]
+    fn bad_magic_version_and_truncation_are_rejected() {
+        let bytes = sample().encode();
+        assert_eq!(
+            RealizedScenario::decode(b"NOTATRACE...."),
+            Err(SnapshotError::BadMagic)
+        );
+        let mut newer = bytes.clone();
+        newer[SCENARIO_FORMAT.magic.len()] = 0xFF;
+        assert!(matches!(
+            RealizedScenario::decode(&newer),
+            Err(SnapshotError::UnsupportedVersion(_))
+        ));
+        for cut in SCENARIO_FORMAT.magic.len()..bytes.len() {
+            assert!(
+                RealizedScenario::decode(&bytes[..cut]).is_err(),
+                "cut at {cut} slipped through"
+            );
+        }
+        let mut trailing = bytes;
+        trailing.push(7);
+        assert!(RealizedScenario::decode(&trailing).is_err());
+    }
+
+    #[test]
     fn corrupt_payloads_are_rejected() {
         let mut trace = sample();
         trace.arrivals[0].arrival_s = f64::NAN;
