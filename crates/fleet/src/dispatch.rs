@@ -23,9 +23,9 @@ use crate::workload::SessionRequest;
 
 /// A dispatcher's (or rebalancer's) read-only view of one node.
 ///
-/// Produced by [`FleetNode::view`](crate::FleetNode::view) after an
-/// explicit [`FleetNode::refresh`](crate::FleetNode::refresh) has pruned
-/// finished sessions — building the view never mutates the node.
+/// Produced by [`FleetNode::view`](crate::FleetNode::view) from counters
+/// the node maintains as sessions arrive, leave and finish — building
+/// the view never mutates the node.
 #[derive(Debug, Clone)]
 pub struct NodeView {
     /// Node id (index in the fleet).
@@ -191,8 +191,7 @@ impl Dispatcher for PowerAware {
     fn dispatch(&mut self, _request: &SessionRequest, nodes: &[NodeView]) -> DispatchDecision {
         let best = nodes.iter().max_by(|a, b| {
             a.power_headroom_w()
-                .partial_cmp(&b.power_headroom_w())
-                .expect("power is finite")
+                .total_cmp(&b.power_headroom_w())
                 // max_by keeps the *last* maximal element; order ids so
                 // ties resolve to the lowest id deterministically.
                 .then(b.node_id.cmp(&a.node_id))

@@ -55,6 +55,13 @@ pub enum FleetError {
         /// How many nodes the fleet has.
         nodes: usize,
     },
+    /// Advancing a node panicked on its worker thread (e.g. inside a
+    /// session's controller). The panic is caught there and the run
+    /// aborts with this error instead of tearing down the process.
+    WorkerPanicked {
+        /// The node whose advance panicked.
+        node: usize,
+    },
 }
 
 impl std::fmt::Display for FleetError {
@@ -83,6 +90,9 @@ impl std::fmt::Display for FleetError {
                 f,
                 "rebalancer directed {from} -> {to} in a fleet of {nodes} nodes"
             ),
+            FleetError::WorkerPanicked { node } => {
+                write!(f, "node {node} panicked while advancing")
+            }
         }
     }
 }

@@ -1,10 +1,11 @@
 //! One fleet node: a [`ServerSim`] plus the bookkeeping a dispatcher
-//! needs (planning shapes of resident sessions, admission counters) and
-//! the per-node controller factory that decides which run-time manager —
-//! MAMUT, mono-agent, heuristic, fixed — drives sessions placed here.
+//! needs (a dense list of live sessions with load counters maintained on
+//! every change) and the per-node controller factory that decides which
+//! run-time manager — MAMUT, mono-agent, heuristic, fixed — drives
+//! sessions placed here.
 
-use mamut_core::Controller;
-use mamut_platform::Platform;
+use mamut_core::{Controller, KnobSettings};
+use mamut_platform::{Platform, SessionLoad};
 use mamut_transcode::{RunSummary, ServerSim, StreamShape, TranscodeError, TranscodeSession};
 
 use crate::dispatch::NodeView;
@@ -61,40 +62,65 @@ pub enum NodeState {
     Retired,
 }
 
+/// One entry of a node's live-session list.
+struct Resident {
+    /// Session id on the node's server.
+    sid: usize,
+    /// The arrival that created the session — what checkpoint capture
+    /// and crash recovery need to rebuild it elsewhere.
+    request: SessionRequest,
+    /// Planning shape the dispatcher counts.
+    shape: StreamShape,
+    /// Knobs in force, read at arrival and at the end of every epoch
+    /// (controllers only act while the server advances).
+    knobs: KnobSettings,
+    /// `(frames, violations)` when the epoch being simulated began, or
+    /// at arrival if later — the baseline of the per-epoch QoS counters,
+    /// so a stream that suffered through a long-past burst does not read
+    /// as distressed forever.
+    mark: (u64, u64),
+}
+
+/// `(frames, violations)` a session has delivered so far.
+fn qos_of(session: &TranscodeSession) -> (u64, u64) {
+    (session.qos().frames(), session.qos().violations())
+}
+
 /// One server in the fleet.
+///
+/// Live sessions sit in one dense list ordered by session id. The
+/// counters next to it change only where that list changes — arrival,
+/// departure, a throttle change, and the prune at the end of each
+/// [`FleetNode::run_epoch`] — so a [`NodeView`] reads them in O(1).
 pub struct FleetNode {
     id: usize,
     server: ServerSim,
     factory: ControllerFactory,
     power_cap_w: f64,
     state: NodeState,
-    /// `(session id, planning shape)` of admitted sessions; pruned of
-    /// finished sessions by [`FleetNode::refresh`].
-    shapes: Vec<(usize, StreamShape)>,
+    /// Unfinished sessions, ascending session id (the server hands out
+    /// ids in increasing order, so arrivals append).
+    live: Vec<Resident>,
+    /// Σ planning-shape threads over `live`.
+    planned_threads: u32,
+    /// Σ knob threads over `live`.
+    threads_demanded: u32,
+    /// Power draw of `live` at its knobs under the throttle cap — the
+    /// same loads, order and arithmetic as [`ServerSim::load`].
+    power_w: f64,
+    /// Σ `(frames, violations)` − mark over `live`: QoS of the epoch
+    /// just simulated.
+    epoch_qos: (u64, u64),
+    /// Σ `(frames, violations)` over every resident session, finished
+    /// ones included.
+    lifetime_qos: (u64, u64),
+    /// `(session id, request id, lifetime frames)` of the sessions that
+    /// finished during the last [`FleetNode::run_epoch`], in session-id
+    /// order. Cleared when the next one starts.
+    finished: Vec<(usize, u64, u64)>,
     sessions_admitted: u64,
     sessions_migrated_in: u64,
     sessions_migrated_out: u64,
-    /// Session ids whose final policy already went to a knowledge store.
-    published: std::collections::BTreeSet<usize>,
-    /// Per-session `(frames, violations)` totals at the start of the
-    /// epoch being simulated — the baseline [`FleetNode::view`] subtracts
-    /// so its QoS signal describes *this epoch*, not a session's whole
-    /// life (a stream that suffered through a burst long ago must not
-    /// read as distressed forever).
-    qos_marks: std::collections::BTreeMap<usize, (u64, u64)>,
-    /// The arrival that created each resident live session, keyed by
-    /// session id — what checkpoint capture and crash recovery need to
-    /// rebuild a session's config and controller elsewhere. Pruned with
-    /// `shapes` on [`FleetNode::refresh`].
-    requests: std::collections::BTreeMap<usize, SessionRequest>,
-    /// Whether [`FleetNode::run_epoch`] should note sessions that finish
-    /// (telemetry hook; off by default so untraced runs pay one branch).
-    record_session_events: bool,
-    /// `(request id, lifetime frames)` of sessions that finished during
-    /// an advance, buffered here — on the node, off the shared path — so
-    /// the coordinator can drain them in node-id order afterwards and
-    /// the trace stays independent of the worker count.
-    pending_session_events: Vec<(u64, u64)>,
 }
 
 impl std::fmt::Debug for FleetNode {
@@ -115,36 +141,24 @@ impl FleetNode {
         power_cap_w: f64,
         factory: ControllerFactory,
     ) -> Self {
+        let power_w = platform.power_draw(&[]);
         FleetNode {
             id,
             server: ServerSim::new(platform),
             factory,
             power_cap_w,
             state: NodeState::Active,
-            shapes: Vec::new(),
+            live: Vec::new(),
+            planned_threads: 0,
+            threads_demanded: 0,
+            power_w,
+            epoch_qos: (0, 0),
+            lifetime_qos: (0, 0),
+            finished: Vec::new(),
             sessions_admitted: 0,
             sessions_migrated_in: 0,
             sessions_migrated_out: 0,
-            published: std::collections::BTreeSet::new(),
-            qos_marks: std::collections::BTreeMap::new(),
-            requests: std::collections::BTreeMap::new(),
-            record_session_events: false,
-            pending_session_events: Vec::new(),
         }
-    }
-
-    /// Turns session-completion buffering on or off (telemetry hook).
-    pub(crate) fn set_session_event_recording(&mut self, on: bool) {
-        self.record_session_events = on;
-        if !on {
-            self.pending_session_events.clear();
-        }
-    }
-
-    /// Drains the sessions that finished since the last call as
-    /// `(request id, lifetime frames)` pairs, in session-id order.
-    pub(crate) fn take_session_events(&mut self) -> Vec<(u64, u64)> {
-        std::mem::take(&mut self.pending_session_events)
     }
 
     /// Node id (index in the fleet).
@@ -174,11 +188,10 @@ impl FleetNode {
     /// crash — goes through [`FleetNode::crash_kill`] instead, which is
     /// an explicit, separately audited path, never a default.
     pub(crate) fn retire(&mut self) -> Result<(), FleetError> {
-        self.refresh();
-        if !self.shapes.is_empty() {
+        if !self.live.is_empty() {
             return Err(FleetError::RetireWithLiveSessions {
                 node: self.id,
-                live: self.shapes.len(),
+                live: self.live.len(),
             });
         }
         self.state = NodeState::Retired;
@@ -192,24 +205,16 @@ impl FleetNode {
     /// death, in session-id order — the coordinator re-creates them on
     /// survivors and accounts the re-done work. Finished sessions stay:
     /// their history and published policies belong to this node.
-    pub(crate) fn crash_kill(&mut self) -> Vec<(SessionRequest, u64)> {
-        self.refresh();
-        let live: Vec<usize> = self.shapes.iter().map(|(sid, _)| *sid).collect();
-        let mut lost = Vec::with_capacity(live.len());
-        for sid in live {
-            if let Ok(session) = self.server.detach_session(sid) {
-                let request = self
-                    .requests
-                    .remove(&sid)
-                    .expect("every live session was admitted or attached with a request");
-                lost.push((request, session.frames_completed()));
-                // The detached session is dropped here: that is the
-                // crash. Its work since the last checkpoint is gone.
-            }
-        }
-        self.shapes.clear();
+    pub(crate) fn crash_kill(&mut self) -> Result<Vec<(SessionRequest, u64)>, FleetError> {
+        // Each detached session is dropped here: that is the crash. Its
+        // work since the last checkpoint is gone.
+        let lost = self
+            .detach_all()?
+            .into_iter()
+            .map(|(entry, session)| (entry.request, session.frames_completed()))
+            .collect();
         self.state = NodeState::Retired;
-        lost
+        Ok(lost)
     }
 
     /// Aligns a freshly commissioned node's clock with the fleet (see
@@ -245,54 +250,61 @@ impl FleetNode {
         let sid = self
             .server
             .add_session(request.session_config(), controller);
-        self.shapes
-            .push((sid, StreamShape::for_spec(&request.spec())));
-        self.requests.insert(sid, request.clone());
+        self.track(sid, request.clone(), StreamShape::for_spec(&request.spec()));
         self.sessions_admitted += 1;
         sid
     }
 
-    /// Prunes bookkeeping for sessions that have finished (or migrated
-    /// away) since the last call. The explicit mutation that used to hide
-    /// inside the old `snapshot(&mut self)`; call it once per epoch
-    /// boundary before taking [`FleetNode::view`]s.
-    pub fn refresh(&mut self) {
-        self.shapes.retain(|(sid, _)| {
-            self.server
-                .session(*sid)
-                .map(|s| !s.is_finished())
-                .unwrap_or(false)
+    /// Appends the session the server just took to the live list and
+    /// counts it in. Its mark is its current QoS, so it adds nothing to
+    /// this epoch's QoS until it has been observed for a full epoch here.
+    fn track(&mut self, sid: usize, request: SessionRequest, shape: StreamShape) {
+        let session = self
+            .server
+            .session(sid)
+            .expect("the server just took this session");
+        let (knobs, mark) = (session.knobs(), qos_of(session));
+        self.planned_threads += shape.knobs.threads;
+        self.threads_demanded += knobs.threads;
+        self.lifetime_qos.0 += mark.0;
+        self.lifetime_qos.1 += mark.1;
+        self.live.push(Resident {
+            sid,
+            request,
+            shape,
+            knobs,
+            mark,
         });
-        let live: std::collections::BTreeSet<usize> =
-            self.shapes.iter().map(|(sid, _)| *sid).collect();
-        self.requests.retain(|sid, _| live.contains(sid));
+        self.update_power();
     }
 
-    /// The dispatcher's read-only view of this node right now. Pair with
-    /// [`FleetNode::refresh`] — an unrefreshed view may still count
-    /// planning shapes of sessions that already finished.
-    pub fn view(&self) -> NodeView {
-        let load = self.server.load();
-        let planned_threads = self.shapes.iter().map(|(_, s)| s.knobs.threads).sum();
-        // QoS over the epoch just simulated: totals minus the marks taken
-        // when the epoch began. A session with no mark yet (just admitted
-        // or just migrated in) contributes nothing until it has been
-        // observed for a full epoch here.
-        let (frames, violations) = self
-            .shapes
-            .iter()
-            .filter_map(|(sid, _)| self.server.session(*sid).ok())
-            .fold((0u64, 0u64), |(f, v), s| {
-                let (f0, v0) = self
-                    .qos_marks
-                    .get(&s.id())
-                    .copied()
-                    .unwrap_or((s.qos().frames(), s.qos().violations()));
-                (
-                    f + s.qos().frames().saturating_sub(f0),
-                    v + s.qos().violations().saturating_sub(v0),
-                )
-            });
+    /// Counts a departing live session out of every counter but power,
+    /// which the caller recomputes once the list is final.
+    fn forget(&mut self, entry: &Resident, session: &TranscodeSession) {
+        let (frames, violations) = qos_of(session);
+        self.planned_threads -= entry.shape.knobs.threads;
+        self.threads_demanded -= entry.knobs.threads;
+        self.epoch_qos.0 -= frames - entry.mark.0;
+        self.epoch_qos.1 -= violations - entry.mark.1;
+        self.lifetime_qos.0 -= frames;
+        self.lifetime_qos.1 -= violations;
+    }
+
+    /// Recomputes the live sessions' power draw exactly as
+    /// [`ServerSim::load`] does: same sessions, same (session-id) order,
+    /// same throttle-capped frequencies, allocation-free.
+    fn update_power(&mut self) {
+        let cap = self.server.freq_cap_ghz();
+        let loads = self.live.iter().map(|entry| {
+            let freq = entry.knobs.freq_ghz;
+            SessionLoad::new(entry.knobs.threads, cap.map_or(freq, |c| freq.min(c)))
+        });
+        self.power_w = self.server.platform().power_draw_for(loads);
+    }
+
+    /// A view over the maintained counters with the given shapes.
+    fn view_with(&self, resident_shapes: Vec<StreamShape>) -> NodeView {
+        let (frames, violations) = self.epoch_qos;
         let qos_violation_percent = if frames == 0 {
             0.0
         } else {
@@ -300,25 +312,57 @@ impl FleetNode {
         };
         NodeView {
             node_id: self.id,
-            active_sessions: load.active_sessions,
-            threads_demanded: load.threads_demanded,
-            planned_threads,
-            hw_threads: load.hw_threads,
-            power_w: load.power_w,
+            active_sessions: self.live.len(),
+            threads_demanded: self.threads_demanded,
+            planned_threads: self.planned_threads,
+            hw_threads: self.server.platform().topology().hw_threads(),
+            power_w: self.power_w,
             power_cap_w: self.power_cap_w,
             qos_violation_percent,
-            resident_shapes: self.shapes.iter().map(|(_, s)| s.clone()).collect(),
+            resident_shapes,
         }
     }
 
+    /// The dispatcher's read-only view of this node right now: the
+    /// maintained counters plus a copy of the resident planning shapes.
+    pub fn view(&self) -> NodeView {
+        self.view_with(self.live.iter().map(|entry| entry.shape.clone()).collect())
+    }
+
+    /// Brings a view taken before the latest [`FleetNode::admit`] up to
+    /// date: counters re-read, the admitted session's shape appended to
+    /// the shapes the view already holds.
+    pub(crate) fn patch_view_after_admit(&self, view: &mut NodeView) {
+        let mut shapes = std::mem::take(&mut view.resident_shapes);
+        shapes.extend(self.live.last().map(|entry| entry.shape.clone()));
+        *view = self.view_with(shapes);
+    }
+
+    /// [`NodeView::utilization`] without copying the shapes.
+    pub(crate) fn utilization(&self) -> f64 {
+        self.view_with(Vec::new()).utilization()
+    }
+
+    /// Lifetime `(frames, violations)` over every session resident here,
+    /// finished ones included — what the per-epoch aggregate records.
+    pub(crate) fn qos_totals(&self) -> (u64, u64) {
+        self.lifetime_qos
+    }
+
+    /// `(session id, request id, lifetime frames)` of the sessions that
+    /// finished during the last [`FleetNode::run_epoch`], in session-id
+    /// order.
+    pub(crate) fn finished_sessions(&self) -> &[(usize, u64, u64)] {
+        &self.finished
+    }
+
     /// Picks the session a rebalancer would move away from this node:
-    /// the unfinished session with the most frames still to transcode
-    /// (most benefit from a less-loaded home), lowest id on ties.
+    /// the live session with the most frames still to transcode (most
+    /// benefit from a less-loaded home), lowest id on ties.
     pub fn migration_candidate(&self) -> Option<usize> {
-        self.shapes
+        self.live
             .iter()
-            .filter_map(|(sid, _)| self.server.session(*sid).ok())
-            .filter(|s| !s.is_finished())
+            .filter_map(|entry| self.server.session(entry.sid).ok())
             .max_by_key(|s| (s.frames_remaining(), std::cmp::Reverse(s.id())))
             .map(|s| s.id())
     }
@@ -331,30 +375,44 @@ impl FleetNode {
     /// [`FleetError::UnknownSession`] if the node has no such live
     /// session.
     pub fn detach_session(&mut self, sid: usize) -> Result<MigratedSession, FleetError> {
-        let pos = self.shapes.iter().position(|(id, _)| *id == sid).ok_or(
-            FleetError::UnknownSession {
-                node: self.id,
-                session: sid,
-            },
-        )?;
-        let session = self
-            .server
-            .detach_session(sid)
-            .map_err(|_| FleetError::UnknownSession {
-                node: self.id,
-                session: sid,
-            })?;
-        let (_, shape) = self.shapes.remove(pos);
-        let request = self
-            .requests
-            .remove(&sid)
-            .expect("every live session was admitted or attached with a request");
+        let unknown = FleetError::UnknownSession {
+            node: self.id,
+            session: sid,
+        };
+        let pos = self
+            .live
+            .binary_search_by_key(&sid, |entry| entry.sid)
+            .map_err(|_| unknown.clone())?;
+        let session = self.server.detach_session(sid).map_err(|_| unknown)?;
+        let entry = self.live.remove(pos);
+        self.forget(&entry, &session);
+        self.update_power();
         self.sessions_migrated_out += 1;
         Ok(MigratedSession {
             session,
-            shape,
-            request,
+            shape: entry.shape,
+            request: entry.request,
         })
+    }
+
+    /// Detaches every live session from the server, in session-id order,
+    /// leaving the live list empty.
+    fn detach_all(&mut self) -> Result<Vec<(Resident, TranscodeSession)>, FleetError> {
+        let live = std::mem::take(&mut self.live);
+        let mut out = Vec::with_capacity(live.len());
+        for entry in live {
+            let session =
+                self.server
+                    .detach_session(entry.sid)
+                    .map_err(|_| FleetError::UnknownSession {
+                        node: self.id,
+                        session: entry.sid,
+                    })?;
+            self.forget(&entry, &session);
+            out.push((entry, session));
+        }
+        self.update_power();
+        Ok(out)
     }
 
     /// Detaches every live (unfinished) session for migration to peers —
@@ -362,11 +420,16 @@ impl FleetNode {
     /// stay put: their history belongs to this node and their policies
     /// publish from here. Sessions come out in session-id order.
     pub fn drain(&mut self) -> Result<Vec<MigratedSession>, FleetError> {
-        self.refresh();
-        let live: Vec<usize> = self.shapes.iter().map(|(sid, _)| *sid).collect();
-        live.into_iter()
-            .map(|sid| self.detach_session(sid))
-            .collect()
+        let drained = self.detach_all()?;
+        self.sessions_migrated_out += drained.len() as u64;
+        Ok(drained
+            .into_iter()
+            .map(|(entry, session)| MigratedSession {
+                session,
+                shape: entry.shape,
+                request: entry.request,
+            })
+            .collect())
     }
 
     /// Attaches a session detached from a peer node; returns its id here.
@@ -379,8 +442,7 @@ impl FleetNode {
             request,
         } = migrated;
         let sid = self.server.attach_session(session);
-        self.shapes.push((sid, shape));
-        self.requests.insert(sid, request);
+        self.track(sid, request, shape);
         self.sessions_migrated_in += 1;
         sid
     }
@@ -389,23 +451,15 @@ impl FleetNode {
     /// session-id order. Pure observation — the node's state, clocks and
     /// fp sequences are untouched, so a checkpointed run stays
     /// byte-identical to an uncheckpointed one.
-    pub(crate) fn checkpoint_sessions(&mut self) -> Vec<SessionCheckpoint> {
-        self.refresh();
-        self.shapes
+    pub(crate) fn checkpoint_sessions(&self) -> Vec<SessionCheckpoint> {
+        self.live
             .iter()
-            .map(|(sid, _)| {
-                let session = self
-                    .server
-                    .session(*sid)
-                    .expect("refresh keeps only resident sessions");
-                SessionCheckpoint {
-                    request: self.requests[sid].clone(),
-                    frames_completed: session.frames_completed(),
-                    bytes: self
-                        .server
-                        .checkpoint_session(*sid)
-                        .expect("refresh keeps only live sessions"),
-                }
+            .filter_map(|entry| {
+                Some(SessionCheckpoint {
+                    request: entry.request.clone(),
+                    frames_completed: self.server.session(entry.sid).ok()?.frames_completed(),
+                    bytes: self.server.checkpoint_session(entry.sid)?,
+                })
             })
             .collect()
     }
@@ -421,101 +475,96 @@ impl FleetNode {
         request: &SessionRequest,
         checkpoint: Option<&[u8]>,
     ) -> bool {
-        if let Some(bytes) = checkpoint {
+        let restored = checkpoint.and_then(|bytes| {
             let controller = (self.factory)(request);
-            match TranscodeSession::restore_checkpoint(request.session_config(), controller, bytes)
-            {
-                Ok(session) => {
-                    let sid = self.server.attach_session(session);
-                    self.shapes
-                        .push((sid, StreamShape::for_spec(&request.spec())));
-                    self.requests.insert(sid, request.clone());
-                    return true;
-                }
-                Err(_) => {
-                    // A corrupt entry degrades to a cold restart below:
-                    // the session is re-done in full, never dropped.
-                }
+            TranscodeSession::restore_checkpoint(request.session_config(), controller, bytes).ok()
+        });
+        let from_checkpoint = restored.is_some();
+        let sid = match restored {
+            Some(session) => self.server.attach_session(session),
+            // No entry, or a corrupt one: a cold restart re-does the
+            // session in full — never dropped.
+            None => {
+                let controller = (self.factory)(request);
+                self.server
+                    .add_session(request.session_config(), controller)
             }
-        }
-        let controller = (self.factory)(request);
-        let sid = self
-            .server
-            .add_session(request.session_config(), controller);
-        self.shapes
-            .push((sid, StreamShape::for_spec(&request.spec())));
-        self.requests.insert(sid, request.clone());
-        false
+        };
+        self.track(sid, request.clone(), StreamShape::for_spec(&request.spec()));
+        from_checkpoint
     }
 
     /// Applies (or lifts, with `None`) a thermal-throttle frequency cap
     /// on the node's server.
     pub(crate) fn set_freq_cap(&mut self, cap_ghz: Option<f64>) {
         self.server.set_freq_cap(cap_ghz);
+        self.update_power();
     }
 
-    /// Publishes the learned policy of every session that has finished
-    /// since the last call, in session-id order. Returns how many were
-    /// published.
-    pub fn harvest_finished(&mut self, store: &mut KnowledgeStore) -> u64 {
+    /// Publishes the learned policy of every session that finished during
+    /// the last [`FleetNode::run_epoch`], in session-id order. Returns how
+    /// many were published. Call it once per epoch: a migrated session
+    /// thereby publishes exactly once, from the node where it finishes.
+    pub fn harvest_finished(&self, store: &mut KnowledgeStore) -> u64 {
         let mut published = 0;
-        for session in self.server.sessions() {
-            if !session.is_finished() || self.published.contains(&session.id()) {
-                continue;
+        for &(sid, _, _) in &self.finished {
+            if let Ok(session) = self.server.session(sid) {
+                let class = SessionClass::of_hr(session.is_high_resolution());
+                store.publish(class, &session.controller().snapshot());
+                published += 1;
             }
-            let class = SessionClass::of_hr(session.is_high_resolution());
-            store.publish(class, &session.controller().snapshot());
-            self.published.insert(session.id());
-            published += 1;
         }
         published
     }
 
-    /// Advances the node's virtual clock to `until`, first marking every
-    /// resident session's QoS totals so the next [`FleetNode::view`]
-    /// reports this epoch's violations rather than lifetime ones.
+    /// Advances the node's virtual clock to `until`, then prunes the
+    /// sessions that finished on the way and recounts the live ones: the
+    /// next [`FleetNode::view`] reports this epoch's QoS, the knobs the
+    /// controllers settled on, and no finished session.
     ///
     /// # Errors
     ///
     /// Propagates [`TranscodeError::EventBudgetExhausted`] from the server.
     pub fn run_epoch(&mut self, until: f64, max_events: u64) -> Result<u64, TranscodeError> {
-        self.qos_marks = self
-            .server
-            .sessions()
-            .iter()
-            .map(|s| (s.id(), (s.qos().frames(), s.qos().violations())))
-            .collect();
-        // Sessions still unfinished going in: the candidates for a
-        // completion event coming out. Only collected when telemetry
-        // asked for it — the flag is the whole cost of an untraced run.
-        let unfinished: Vec<usize> = if self.record_session_events {
-            let mut ids: Vec<usize> = self
-                .server
-                .sessions()
-                .iter()
-                .filter(|s| !s.is_finished())
-                .map(|s| s.id())
-                .collect();
-            ids.sort_unstable();
-            ids
-        } else {
-            Vec::new()
-        };
-        let result = self.server.run_epoch(until, max_events);
-        for sid in unfinished {
-            let Ok(session) = self.server.session(sid) else {
-                continue;
-            };
-            if session.is_finished() {
-                let request = self
-                    .requests
-                    .get(&sid)
-                    .expect("every live session was admitted or attached with a request");
-                self.pending_session_events
-                    .push((request.id, session.frames_completed()));
+        self.finished.clear();
+        for entry in &mut self.live {
+            if let Ok(session) = self.server.session(entry.sid) {
+                entry.mark = qos_of(session);
             }
         }
+        let result = self.server.run_epoch(until, max_events);
+        self.settle_epoch();
         result
+    }
+
+    /// The end-of-epoch prune and recount over the live list.
+    fn settle_epoch(&mut self) {
+        let (server, finished, lifetime) =
+            (&self.server, &mut self.finished, &mut self.lifetime_qos);
+        let (mut planned, mut demanded, mut epoch) = (0, 0, (0, 0));
+        self.live.retain_mut(|entry| {
+            let Ok(session) = server.session(entry.sid) else {
+                return false;
+            };
+            let (frames, violations) = qos_of(session);
+            let delta = (frames - entry.mark.0, violations - entry.mark.1);
+            lifetime.0 += delta.0;
+            lifetime.1 += delta.1;
+            if session.is_finished() {
+                finished.push((entry.sid, entry.request.id, frames));
+                return false;
+            }
+            entry.knobs = session.knobs();
+            planned += entry.shape.knobs.threads;
+            demanded += entry.knobs.threads;
+            epoch.0 += delta.0;
+            epoch.1 += delta.1;
+            true
+        });
+        self.planned_threads = planned;
+        self.threads_demanded = demanded;
+        self.epoch_qos = epoch;
+        self.update_power();
     }
 
     /// Whether every admitted session has finished.
@@ -532,7 +581,10 @@ impl FleetNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mamut_core::{FixedController, KnobSettings};
+    use mamut_core::{FixedController, MamutConfig, MamutController};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     fn fixed_factory() -> ControllerFactory {
         Box::new(|req| {
@@ -562,7 +614,6 @@ mod tests {
         n.admit(&request(1, true, 50));
         n.admit(&request(2, false, 50));
         assert_eq!(n.sessions_admitted(), 2);
-        n.refresh();
         let snap = n.view();
         assert_eq!(snap.active_sessions, 2);
         assert_eq!(snap.resident_shapes.len(), 2);
@@ -575,7 +626,6 @@ mod tests {
         n.admit(&request(1, false, 5));
         n.run_epoch(60.0, 1_000_000).unwrap();
         assert!(n.all_finished());
-        n.refresh();
         let snap = n.view();
         assert_eq!(snap.active_sessions, 0);
         assert!(snap.resident_shapes.is_empty());
@@ -587,7 +637,6 @@ mod tests {
         let mut n = node();
         n.admit(&request(1, true, 30));
         n.run_epoch(0.2, 1_000_000).unwrap();
-        n.refresh();
         let snap = n.view();
         assert_eq!(snap.threads_demanded, 10, "HR factory knobs in force");
     }
@@ -608,7 +657,6 @@ mod tests {
             "the finished session's history stays"
         );
         assert!(n.all_finished());
-        n.refresh();
         assert_eq!(n.view().active_sessions, 0);
         // Draining an already-empty node is a no-op.
         assert!(n.drain().unwrap().is_empty());
@@ -635,13 +683,16 @@ mod tests {
             Err(FleetError::RetireWithLiveSessions { node: 0, live: 2 })
         );
         assert!(n.is_active(), "a refused retire leaves the node running");
-        let lost = n.crash_kill();
+        let lost = n.crash_kill().unwrap();
         assert_eq!(lost.len(), 2);
         assert!(lost.iter().all(|(_, frames)| *frames > 0));
         assert_eq!(lost[0].0.id, 1);
         assert_eq!(lost[1].0.id, 2);
         assert!(!n.is_active());
-        assert!(n.crash_kill().is_empty(), "crashing a corpse finds nothing");
+        assert!(
+            n.crash_kill().unwrap().is_empty(),
+            "crashing a corpse finds nothing"
+        );
     }
 
     #[test]
@@ -692,7 +743,6 @@ mod tests {
         n.factory = Box::new(|_| Box::new(FixedController::new(KnobSettings::new(32, 1, 2.9))));
         n.admit(&request(1, true, 5_000));
         n.run_epoch(2.0, 1_000_000).unwrap();
-        n.refresh();
         let view = n.view();
         assert!(
             view.qos_violation_percent > 50.0,
@@ -713,5 +763,176 @@ mod tests {
         let s = n.summary();
         assert_eq!(s.sessions.len(), 1);
         assert!(s.sessions[0].frames > 0);
+    }
+
+    fn mamut_factory() -> ControllerFactory {
+        Box::new(|req| {
+            let config = if req.hr {
+                MamutConfig::paper_hr()
+            } else {
+                MamutConfig::paper_lr()
+            };
+            Box::new(MamutController::new(config.with_seed(req.seed)).unwrap())
+        })
+    }
+
+    /// What the test believes about one node, kept apart from the node's
+    /// own bookkeeping: the request behind every live session id, and the
+    /// QoS marks it took itself before the last epoch.
+    #[derive(Default)]
+    struct Model {
+        live: BTreeMap<usize, SessionRequest>,
+        marks: BTreeMap<usize, (u64, u64)>,
+    }
+
+    /// Compares the maintained view and totals with a from-scratch
+    /// reference: the server's own load, folds over its sessions, and
+    /// planning shapes rebuilt from the model's requests.
+    fn assert_view_matches(n: &FleetNode, model: &Model, step: &str) {
+        let view = n.view();
+        let load = n.server().load();
+        assert_eq!(view.active_sessions, load.active_sessions, "{step}");
+        assert_eq!(view.threads_demanded, load.threads_demanded, "{step}");
+        assert_eq!(view.power_w.to_bits(), load.power_w.to_bits(), "{step}");
+        assert_eq!(view.hw_threads, load.hw_threads, "{step}");
+
+        let shapes: Vec<StreamShape> = model
+            .live
+            .values()
+            .map(|r| StreamShape::for_spec(&r.spec()))
+            .collect();
+        assert_eq!(view.resident_shapes, shapes, "{step}");
+        let planned: u32 = shapes.iter().map(|s| s.knobs.threads).sum();
+        assert_eq!(view.planned_threads, planned, "{step}");
+
+        // A session without a mark arrived after the last epoch began:
+        // it adds nothing yet.
+        let (frames, violations) = model.live.keys().fold((0u64, 0u64), |(f, v), sid| {
+            let s = n
+                .server()
+                .session(*sid)
+                .expect("model sessions are resident");
+            let (f0, v0) = model.marks.get(sid).copied().unwrap_or(qos_of(s));
+            (f + s.qos().frames() - f0, v + s.qos().violations() - v0)
+        });
+        let percent = if frames == 0 {
+            0.0
+        } else {
+            100.0 * violations as f64 / frames as f64
+        };
+        assert_eq!(
+            view.qos_violation_percent.to_bits(),
+            percent.to_bits(),
+            "{step}"
+        );
+        let lifetime = n
+            .server()
+            .sessions()
+            .iter()
+            .fold((0u64, 0u64), |(f, v), s| {
+                (f + s.qos().frames(), v + s.qos().violations())
+            });
+        assert_eq!(n.qos_totals(), lifetime, "{step}");
+        assert_eq!(
+            n.utilization().to_bits(),
+            view.utilization().to_bits(),
+            "{step}"
+        );
+    }
+
+    #[test]
+    fn maintained_view_matches_a_from_scratch_reference() {
+        let new_node =
+            |id: usize| FleetNode::new(id, Platform::xeon_e5_2667_v4(), 110.0, mamut_factory());
+        for seed in 0..4u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut nodes = [new_node(0), new_node(1)];
+            let mut models = [Model::default(), Model::default()];
+            let mut now = 0.0;
+            let mut next_id = 0;
+            for step in 0..48 {
+                let a = rng.gen_range(0..2usize);
+                let b = 1 - a;
+                let op = rng.gen_range(0..7u32);
+                match op {
+                    // Admit: short sessions finish mid-epoch, long ones
+                    // stay live across several.
+                    0 | 1 => {
+                        next_id += 1;
+                        let frames = rng.gen_range(8..400u64);
+                        let req = request(next_id, rng.gen_bool(0.5), frames);
+                        let sid = nodes[a].admit(&req);
+                        models[a].live.insert(sid, req);
+                    }
+                    // Advance both nodes through one epoch.
+                    2 | 3 => {
+                        now += rng.gen_range(0.1..0.8f64);
+                        for (n, m) in nodes.iter_mut().zip(&mut models) {
+                            m.marks = m
+                                .live
+                                .keys()
+                                .map(|&sid| (sid, qos_of(n.server().session(sid).unwrap())))
+                                .collect();
+                            n.run_epoch(now, 1_000_000).unwrap();
+                            let ended: Vec<(usize, u64, u64)> = m
+                                .live
+                                .iter()
+                                .map(|(&sid, r)| (sid, r, n.server().session(sid).unwrap()))
+                                .filter(|(_, _, s)| s.is_finished())
+                                .map(|(sid, r, s)| (sid, r.id, s.frames_completed()))
+                                .collect();
+                            assert_eq!(n.finished_sessions(), ended.as_slice());
+                            m.live.retain(|sid, _| ended.iter().all(|e| e.0 != *sid));
+                        }
+                    }
+                    // Migrate one session, or drain the whole node.
+                    4 => {
+                        let moved = if rng.gen_bool(0.7) {
+                            nodes[a]
+                                .migration_candidate()
+                                .map(|sid| vec![nodes[a].detach_session(sid).unwrap()])
+                                .unwrap_or_default()
+                        } else {
+                            nodes[a].drain().unwrap()
+                        };
+                        for migrated in moved {
+                            models[a].live.retain(|_, r| r.id != migrated.request.id);
+                            let req = migrated.request.clone();
+                            let sid = nodes[b].attach_session(migrated);
+                            models[b].live.insert(sid, req);
+                        }
+                    }
+                    // Crash: the survivor adopts the lost sessions from a
+                    // fresh checkpoint, from garbage bytes, or cold; a
+                    // clock-aligned replacement takes the dead node's slot.
+                    5 => {
+                        let checkpoint = nodes[a].checkpoint_sessions();
+                        let lost = nodes[a].crash_kill().unwrap();
+                        assert_eq!(lost.len(), checkpoint.len());
+                        for ((req, _), ck) in lost.iter().zip(&checkpoint) {
+                            let bytes = match rng.gen_range(0..3u32) {
+                                0 => Some(ck.bytes.as_slice()),
+                                1 => Some(b"garbage".as_slice()),
+                                _ => None,
+                            };
+                            let restored = nodes[b].adopt_recovered(req, bytes);
+                            assert_eq!(restored, bytes == Some(ck.bytes.as_slice()));
+                            // The server hands out ids in increasing
+                            // order: the adoptee is its newest session.
+                            let sid = nodes[b].server().sessions().last().unwrap().id();
+                            models[b].live.insert(sid, req.clone());
+                        }
+                        nodes[a] = new_node(a);
+                        nodes[a].align_clock(now).unwrap();
+                        models[a] = Model::default();
+                    }
+                    // Throttle on or off.
+                    _ => nodes[a].set_freq_cap(rng.gen_bool(0.5).then_some(1.8)),
+                }
+                for (n, m) in nodes.iter().zip(&models) {
+                    assert_view_matches(n, m, &format!("seed {seed} step {step} op {op}"));
+                }
+            }
+        }
     }
 }

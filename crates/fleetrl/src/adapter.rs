@@ -353,8 +353,7 @@ impl PolicyDriver {
                 .iter()
                 .min_by(|a, b| {
                     a.utilization()
-                        .partial_cmp(&b.utilization())
-                        .expect("utilization is finite")
+                        .total_cmp(&b.utilization())
                         .then(a.active_sessions.cmp(&b.active_sessions))
                         .then(a.node_id.cmp(&b.node_id))
                 })
@@ -363,8 +362,7 @@ impl PolicyDriver {
                 .iter()
                 .max_by(|a, b| {
                     a.power_headroom_w()
-                        .partial_cmp(&b.power_headroom_w())
-                        .expect("power is finite")
+                        .total_cmp(&b.power_headroom_w())
                         .then(b.node_id.cmp(&a.node_id))
                 })
                 .expect("non-empty"),
@@ -372,13 +370,8 @@ impl PolicyDriver {
                 .iter()
                 .max_by(|a, b| {
                     a.qos_slack()
-                        .partial_cmp(&b.qos_slack())
-                        .expect("slack is finite")
-                        .then(
-                            b.utilization()
-                                .partial_cmp(&a.utilization())
-                                .expect("utilization is finite"),
-                        )
+                        .total_cmp(&b.qos_slack())
+                        .then(b.utilization().total_cmp(&a.utilization()))
                         .then(b.node_id.cmp(&a.node_id))
                 })
                 .expect("non-empty"),
