@@ -7,11 +7,6 @@
 //! clock measures what the checkpoint capture costs.
 //!
 //! Run with: `cargo bench --bench fleet_chaos`
-//!
-//! With `MAMUT_BENCH_QUICK=1` the workload shrinks to a CI-sized smoke
-//! run; with `MAMUT_BENCH_JSON=<path>` the checkpointed run's
-//! throughput and its deterministic recovery totals are merged into
-//! that metrics file for the `bench_gate` regression check.
 
 use std::time::Instant;
 
@@ -23,17 +18,8 @@ use mamut_fleet::{
 use mamut_metrics::{Align, Table};
 use mamut_platform::Platform;
 
-fn quick() -> bool {
-    std::env::var("MAMUT_BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-fn sessions() -> usize {
-    if quick() {
-        32
-    } else {
-        96
-    }
-}
+/// Arrivals in the workload.
+const SESSIONS: usize = 96;
 
 fn factory() -> ControllerFactory {
     Box::new(|req| {
@@ -58,7 +44,7 @@ fn provisioner() -> NodeProvisioner {
 fn workload() -> Workload {
     Workload::try_generate(&WorkloadConfig {
         seed: 13,
-        sessions: sessions(),
+        sessions: SESSIONS,
         mean_interarrival_s: 0.25,
         hr_ratio: 0.5,
         live_ratio: 0.4,
@@ -110,10 +96,8 @@ fn run(workers: usize, checkpoint_interval: Option<u64>) -> (FleetSummary, f64) 
 
 fn main() {
     println!(
-        "fleet chaos — {} sessions, 2 crashes + 1 throttle, 4-node pool \
-         with replacement{}\n",
-        sessions(),
-        if quick() { " [quick mode]" } else { "" }
+        "fleet chaos — {SESSIONS} sessions, 2 crashes + 1 throttle, 4-node pool \
+         with replacement\n"
     );
 
     let (checkpointed, chk_wall) = run(8, Some(2));
@@ -163,31 +147,4 @@ fn main() {
         ]);
     }
     println!("{}", table.to_plain());
-
-    if let Ok(path) = std::env::var("MAMUT_BENCH_JSON") {
-        if !path.is_empty() {
-            // Best-of-3 wall clock so runner noise is not a regression.
-            let best_wall = (0..2).map(|_| run(8, Some(2)).1).fold(chk_wall, f64::min);
-            let path = std::path::Path::new(&path);
-            let emit = |name: &str, value: f64| {
-                criterion::benchjson::merge_into(path, name, value)
-                    .unwrap_or_else(|e| eprintln!("bench json emission failed: {e}"));
-            };
-            emit(
-                "fleet_checkpoint_frames_per_s",
-                checkpointed.total_frames as f64 / best_wall.max(1e-9),
-            );
-            // Deterministic recovery totals: these only move when the
-            // fault/recovery physics change.
-            emit(
-                "fleet_chaos_recovery_epochs",
-                checkpointed.down_node_epochs as f64,
-            );
-            emit(
-                "fleet_chaos_frames_redone",
-                checkpointed.frames_redone as f64,
-            );
-            emit("fleet_chaos_total_frames", checkpointed.total_frames as f64);
-        }
-    }
 }

@@ -8,42 +8,23 @@
 //! byte-identical between the two by construction — `cargo test` pins
 //! that down, this bench shows what the parallelism buys.
 //!
+//! The sharded coordinator at cluster scale (1k and 10k nodes) is
+//! measured by the `fleetbench/` benchmark's `burst_1k` and `sparse_10k`
+//! workloads.
+//!
 //! Run with: `cargo bench --bench fleet_scaling`
-//!
-//! A second series drives the **sharded coordinator** at cluster scale:
-//! 8 shards × 128 nodes = 1024 nodes under one `ShardedFleetSim`, a t=0
-//! burst of 100 sessions per node (100k+ concurrent sessions fleet-wide)
-//! plus staggered per-shard tails so early shards drain and park while
-//! late shards keep serving — the regime the idle-node fast path is for.
-//!
-//! With `MAMUT_BENCH_QUICK=1` the weak-scaling sweep shrinks to a
-//! CI-sized smoke run (1 → 4 nodes, half the arrivals per node; the
-//! sharded series keeps its full 1k-node shape); with
-//! `MAMUT_BENCH_JSON=<path>` the largest configuration's throughput and
-//! deterministic totals are merged into that metrics file for the
-//! `bench_gate` regression check.
 
 use std::time::Instant;
 
 use mamut_bench::ControllerKind;
-use mamut_core::{Constraints, FixedController, KnobSettings};
+use mamut_core::Constraints;
 use mamut_fleet::{
-    ControllerFactory, FleetConfig, FleetSim, FleetSummary, LeastLoaded, SessionRequest,
-    ShardConfig, ShardedFleetSim, ShardedFleetSummary, Workload, WorkloadConfig,
+    ControllerFactory, FleetConfig, FleetSim, FleetSummary, LeastLoaded, Workload, WorkloadConfig,
 };
 use mamut_metrics::{Align, Table};
 
-fn quick() -> bool {
-    std::env::var("MAMUT_BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-fn sessions_per_node() -> usize {
-    if quick() {
-        4
-    } else {
-        8
-    }
-}
+/// Arrivals per node, the same at every fleet size.
+const SESSIONS_PER_NODE: usize = 8;
 
 /// MAMUT-managed sessions: the Q-learning updates give each node-epoch
 /// enough CPU work that the thread fan-out has something to parallelize
@@ -53,12 +34,9 @@ fn mamut_factory() -> ControllerFactory {
 }
 
 fn workload(nodes: usize) -> Workload {
-    // Session lengths stay full-sized even in quick mode: the gated
-    // throughput figure needs enough wall time per run that scheduler
-    // noise on a shared CI runner averages out.
     Workload::try_generate(&WorkloadConfig {
         seed: 5,
-        sessions: sessions_per_node() * nodes,
+        sessions: SESSIONS_PER_NODE * nodes,
         // Same offered load per node regardless of fleet size.
         mean_interarrival_s: 4.0 / nodes as f64,
         hr_ratio: 0.5,
@@ -85,115 +63,11 @@ fn run(nodes: usize, workers: usize) -> (FleetSummary, f64) {
     (summary, start.elapsed().as_secs_f64())
 }
 
-/// Sharded-coordinator series: 8 regional shards × 128 nodes = 1024
-/// nodes under one [`ShardedFleetSim`].
-const SHARDS: usize = 8;
-/// Nodes per shard in the sharded series.
-const NODES_PER_SHARD: usize = 128;
-/// Epoch length of the sharded series (seconds of virtual time).
-const SHARDED_EPOCH_S: f64 = 4.0;
-
-/// splitmix64 — a seeded hash, so the sharded workload is a pure
-/// function of (shard, ordinal) with no RNG state threaded through.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// One shard's arrival trace: a t=0 burst that puts ~100 concurrent
-/// sessions on every node (the whole fleet peaks above 100k concurrent
-/// sessions in the opening epochs), then a thin tail whose horizon grows
-/// with the shard index — early shards drain and their nodes go dormant
-/// while late shards keep serving, so the tail epochs measure the
-/// coordinator's cost against *active* nodes, not pool size.
-fn sharded_arrivals(shard: usize) -> Vec<SessionRequest> {
-    let base = (shard as u64) << 32; // ids unique fleet-wide
-    let request = |id: u64, arrival_s: f64, frames: u64| {
-        let h = mix(id);
-        SessionRequest {
-            id,
-            arrival_s,
-            hr: h & 1 == 0,
-            live: false,
-            frames,
-            seed: h,
-        }
-    };
-    let short = |id: u64| 6 + (mix(id) >> 8) % 6;
-    let mut arrivals = Vec::new();
-    for i in 0..NODES_PER_SHARD * 100 {
-        let id = base | i as u64;
-        arrivals.push(request(id, 0.0, short(id)));
-    }
-    let tail = NODES_PER_SHARD * 4;
-    let horizon_s = (shard as f64 + 1.0) * 12.0 * SHARDED_EPOCH_S;
-    for i in 0..tail {
-        let id = base | (1 << 31) | i as u64;
-        arrivals.push(request(
-            id,
-            (i as f64 + 1.0) * horizon_s / tail as f64,
-            short(id),
-        ));
-    }
-    // The last shard gets a second burst of *multi-epoch* sessions once
-    // the other shards have drained and parked — the sustained hot/cold
-    // imbalance drives cross-shard session overflow into dormant shards,
-    // waking their nodes. (The t=0 burst cannot trigger overflow: its
-    // sub-epoch sessions finish before any epoch boundary observes them,
-    // and every shard is equally hot anyway.)
-    if shard == SHARDS - 1 {
-        for i in 0..NODES_PER_SHARD * 10 {
-            arrivals.push(request(
-                base | (1 << 30) | i as u64,
-                40.0 * SHARDED_EPOCH_S,
-                480,
-            ));
-        }
-    }
-    arrivals
-}
-
-fn run_sharded(workers: usize, idle_fast_path: bool) -> (ShardedFleetSummary, f64) {
-    let fixed_factory: fn() -> ControllerFactory = || {
-        Box::new(|req| {
-            let threads = if req.hr { 10 } else { 4 };
-            Box::new(FixedController::new(KnobSettings::new(32, threads, 2.9)))
-        })
-    };
-    let mut sharded = ShardedFleetSim::new(ShardConfig::default());
-    for shard in 0..SHARDS {
-        let mut sim = FleetSim::new(
-            FleetConfig::default()
-                .with_epoch_s(SHARDED_EPOCH_S)
-                .with_worker_threads(workers)
-                .with_idle_fast_path(idle_fast_path),
-            Box::new(LeastLoaded::new()),
-            Workload::replay(sharded_arrivals(shard)),
-        );
-        for _ in 0..NODES_PER_SHARD {
-            sim.add_node(fixed_factory());
-        }
-        sharded.add_shard(format!("cell{shard}"), sim);
-    }
-    let start = Instant::now();
-    let summary = sharded.run().expect("sharded fleet run completes");
-    (summary, start.elapsed().as_secs_f64())
-}
-
 fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let node_counts: &[usize] = if quick() {
-        &[1, 2, 4]
-    } else {
-        &[1, 2, 4, 8, 16]
-    };
     println!(
-        "fleet weak scaling — {} sessions/node, least-loaded dispatch, \
-         {cores} CPU(s) available{}",
-        sessions_per_node(),
-        if quick() { " [quick mode]" } else { "" }
+        "fleet weak scaling — {SESSIONS_PER_NODE} sessions/node, least-loaded dispatch, \
+         {cores} CPU(s) available"
     );
     println!(
         "(speedup is bounded by the CPU count; MAMUT controllers learn online from cold start, \
@@ -210,8 +84,7 @@ fn main() {
         "speedup".into(),
     ]);
     table.set_alignments(vec![Align::Right; 8]);
-    let mut largest: Option<(FleetSummary, f64)> = None;
-    for &nodes in node_counts {
+    for nodes in [1, 2, 4, 8, 16] {
         let (summary, wall_seq) = run(nodes, 1);
         let (parallel, wall_par) = run(nodes, nodes);
         assert_eq!(
@@ -229,101 +102,6 @@ fn main() {
             format!("{wall_par:.3}"),
             format!("{:.2}x", wall_seq / wall_par.max(1e-9)),
         ]);
-        largest = Some((parallel, wall_par));
     }
     println!("{}", table.to_plain());
-
-    // Sharded-coordinator series: 1k nodes / 100k+ concurrent sessions
-    // behind the region/cell topology. Fixed controllers keep the
-    // per-frame cost flat so the wall clock measures the coordinator —
-    // dispatch, lockstep stepping, overflow, idle-node skipping — rather
-    // than Q-learning updates.
-    println!(
-        "sharded coordinator — {SHARDS} shards x {NODES_PER_SHARD} nodes = {} nodes, \
-         t=0 burst of 100 sessions/node + staggered tails\n",
-        SHARDS * NODES_PER_SHARD
-    );
-    let (sharded, sharded_seq_wall) = run_sharded(1, true);
-    let (sharded_par, sharded_par_wall) = run_sharded(8, true);
-    assert_eq!(
-        sharded.to_string(),
-        sharded_par.to_string(),
-        "worker count changed the sharded physics"
-    );
-    let (sharded_slow, sharded_slow_wall) = run_sharded(8, false);
-    assert_eq!(
-        sharded.to_string(),
-        sharded_slow.to_string(),
-        "the idle-node fast path changed the sharded physics"
-    );
-    let mut sharded_table = Table::new(vec![
-        "sessions".into(),
-        "frames".into(),
-        "epochs".into(),
-        "node-epochs".into(),
-        "delta%".into(),
-        "overflow".into(),
-        "wall 1w (s)".into(),
-        "wall 8w (s)".into(),
-        "wall no-idle-skip (s)".into(),
-    ]);
-    sharded_table.set_alignments(vec![Align::Right; 9]);
-    sharded_table.add_row(vec![
-        sharded.total_sessions().to_string(),
-        sharded.total_frames().to_string(),
-        sharded.epochs.to_string(),
-        sharded.node_epochs().to_string(),
-        format!("{:.2}", sharded.cluster_violation_percent()),
-        sharded.inter_shard_migrations.to_string(),
-        format!("{sharded_seq_wall:.3}"),
-        format!("{sharded_par_wall:.3}"),
-        format!("{sharded_slow_wall:.3}"),
-    ]);
-    println!("{}", sharded_table.to_plain());
-
-    // Metric emission for the CI regression gate: throughput of the
-    // largest swept configuration plus its deterministic totals (which
-    // only move when the simulation's physics change). Best-of-3 wall
-    // clock so scheduling noise on a shared runner does not masquerade
-    // as a regression.
-    if let Ok(path) = std::env::var("MAMUT_BENCH_JSON") {
-        if !path.is_empty() {
-            let (summary, first_wall) = largest.expect("the sweep ran at least one config");
-            let nodes = *node_counts.last().expect("non-empty sweep");
-            let best_wall = (0..4)
-                .map(|_| run(nodes, nodes).1)
-                .fold(first_wall, f64::min);
-            let path = std::path::Path::new(&path);
-            let emit = |name: &str, value: f64| {
-                criterion::benchjson::merge_into(path, name, value)
-                    .unwrap_or_else(|e| eprintln!("bench json emission failed: {e}"));
-            };
-            emit(
-                "fleet_scaling_frames_per_s",
-                summary.total_frames as f64 / best_wall.max(1e-9),
-            );
-            emit("fleet_scaling_total_frames", summary.total_frames as f64);
-            emit("fleet_scaling_sessions", summary.total_sessions as f64);
-
-            let sharded_best_wall = (0..2)
-                .map(|_| run_sharded(8, true).1)
-                .fold(sharded_par_wall, f64::min);
-            emit(
-                "fleet_scaling_sharded_frames_per_s",
-                sharded.total_frames() as f64 / sharded_best_wall.max(1e-9),
-            );
-            emit(
-                "fleet_scaling_sharded_total_frames",
-                sharded.total_frames() as f64,
-            );
-            emit(
-                "fleet_scaling_sharded_sessions",
-                sharded.total_sessions() as f64,
-            );
-            emit(
-                "fleet_scaling_sharded_node_epochs",
-                sharded.node_epochs() as f64,
-            );
-        }
-    }
 }

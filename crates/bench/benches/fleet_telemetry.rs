@@ -1,6 +1,6 @@
 //! **Fleet telemetry overhead** — prices the structured event tracing
 //! added to the fleet simulator, on the same MAMUT-controller workload
-//! shape `fleet_scaling` gates.
+//! shape `fleet_scaling` sweeps.
 //!
 //! Three arms over identical physics:
 //!
@@ -12,11 +12,6 @@
 //!   within 2%;
 //! * *full* — every event retained, the trace encoded and exported at
 //!   the end, to show what full observability actually costs.
-//!
-//! The deterministic event count is emitted for the regression gate
-//! (`fleet_telemetry_trace_events` — exact: it only moves when the
-//! instrumentation or the physics change), alongside the off- and
-//! full-mode throughputs (gated at the usual 15%).
 //!
 //! Run with: `cargo bench --bench fleet_telemetry`
 
@@ -30,45 +25,15 @@ use mamut_fleet::{
 };
 use mamut_metrics::{Align, Table};
 
-fn quick() -> bool {
-    std::env::var("MAMUT_BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-fn nodes() -> usize {
-    if quick() {
-        4
-    } else {
-        8
-    }
-}
-
-fn sessions_per_node() -> usize {
-    if quick() {
-        4
-    } else {
-        8
-    }
-}
-
-fn repeats() -> usize {
-    if quick() {
-        3
-    } else {
-        5
-    }
-}
-
-/// Runs timed back-to-back per wall-clock sample: single quick-mode
-/// runs finish in ~15 ms, far below what a 2% comparison can resolve,
-/// so each sample amortizes the timer and scheduler jitter over a
-/// batch.
-fn batch() -> usize {
-    if quick() {
-        8
-    } else {
-        3
-    }
-}
+/// Fleet nodes.
+const NODES: usize = 8;
+/// Arrivals per node.
+const SESSIONS_PER_NODE: usize = 8;
+/// Wall-clock samples per arm; the best one counts.
+const REPEATS: usize = 5;
+/// Runs timed back-to-back per wall-clock sample, so each sample
+/// amortizes the timer and scheduler jitter over a batch.
+const BATCH: usize = 3;
 
 /// MAMUT-managed sessions, as in `fleet_scaling`: online Q-learning
 /// gives every node-epoch real CPU work, so the hook overhead is
@@ -80,8 +45,8 @@ fn mamut_factory() -> ControllerFactory {
 fn workload() -> Workload {
     Workload::try_generate(&WorkloadConfig {
         seed: 5,
-        sessions: sessions_per_node() * nodes(),
-        mean_interarrival_s: 4.0 / nodes() as f64,
+        sessions: SESSIONS_PER_NODE * NODES,
+        mean_interarrival_s: 4.0 / NODES as f64,
         hr_ratio: 0.5,
         live_ratio: 0.5,
         vod_frames: (240, 720),
@@ -94,11 +59,11 @@ fn run(mode: Option<TelemetryMode>) -> (FleetSummary, Option<FleetTrace>, f64) {
     let mut fleet = FleetSim::new(
         FleetConfig::default()
             .with_epoch_s(4.0)
-            .with_worker_threads(nodes()),
+            .with_worker_threads(NODES),
         Box::new(LeastLoaded::new()),
         workload(),
     );
-    for _ in 0..nodes() {
+    for _ in 0..NODES {
         fleet.add_node(mamut_factory());
     }
     if let Some(mode) = mode {
@@ -115,10 +80,8 @@ fn run(mode: Option<TelemetryMode>) -> (FleetSummary, Option<FleetTrace>, f64) {
 
 fn main() {
     println!(
-        "fleet telemetry overhead — {} nodes, {} sessions/node, MAMUT controllers{}\n",
-        nodes(),
-        sessions_per_node(),
-        if quick() { " [quick mode]" } else { "" }
+        "fleet telemetry overhead — {NODES} nodes, {SESSIONS_PER_NODE} sessions/node, \
+         MAMUT controllers\n"
     );
 
     // Interleave the arms so slow drift on a shared runner hits all
@@ -126,9 +89,9 @@ fn main() {
     // are deterministic, so the minimum is the least-noisy sample.
     let (mut base_wall, mut off_wall, mut full_wall) = (f64::MAX, f64::MAX, f64::MAX);
     let mut reference: Option<(FleetSummary, FleetSummary, FleetSummary, FleetTrace)> = None;
-    for _ in 0..repeats() {
+    for _ in 0..REPEATS {
         let (mut wall_b, mut wall_o, mut wall_f) = (0.0, 0.0, 0.0);
-        for _ in 0..batch() {
+        for _ in 0..BATCH {
             let (base, _, w) = run(None);
             wall_b += w;
             let (off, _, w) = run(Some(TelemetryMode::Off));
@@ -137,9 +100,9 @@ fn main() {
             wall_f += w;
             reference.get_or_insert((base, off, full, trace.expect("full mode keeps a trace")));
         }
-        base_wall = base_wall.min(wall_b / batch() as f64);
-        off_wall = off_wall.min(wall_o / batch() as f64);
-        full_wall = full_wall.min(wall_f / batch() as f64);
+        base_wall = base_wall.min(wall_b / BATCH as f64);
+        off_wall = off_wall.min(wall_o / BATCH as f64);
+        full_wall = full_wall.min(wall_f / BATCH as f64);
     }
     let (base, off, mut full, trace) = reference.expect("at least one repeat ran");
 
@@ -207,31 +170,12 @@ fn main() {
     // The disabled-overhead contract: hooks that record nothing may not
     // cost measurable wall clock. Best-of-N batched samples of
     // deterministic runs keep scheduler noise out of the comparison;
-    // the 1 ms absolute floor covers what a millisecond-scale quick run
-    // cannot resolve.
+    // the 1 ms absolute floor absorbs the scheduler jitter a 2% budget
+    // on a sub-second run cannot resolve.
     assert!(
         off_wall <= base_wall * 1.02 + 1e-3,
         "telemetry-off overhead {:.2}% exceeds the 2% budget \
          (off {off_wall:.4}s vs baseline {base_wall:.4}s per run)",
         overhead(off_wall)
     );
-
-    if let Ok(path) = std::env::var("MAMUT_BENCH_JSON") {
-        if !path.is_empty() {
-            let path = std::path::Path::new(&path);
-            let emit = |name: &str, value: f64| {
-                criterion::benchjson::merge_into(path, name, value)
-                    .unwrap_or_else(|e| eprintln!("bench json emission failed: {e}"));
-            };
-            emit(
-                "fleet_telemetry_off_frames_per_s",
-                frames / off_wall.max(1e-9),
-            );
-            emit(
-                "fleet_telemetry_full_frames_per_s",
-                frames / full_wall.max(1e-9),
-            );
-            emit("fleet_telemetry_trace_events", trace.len() as f64);
-        }
-    }
 }

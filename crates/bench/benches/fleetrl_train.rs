@@ -5,25 +5,20 @@
 //!   (seeded episode rollouts through the fleet simulator plus the
 //!   replay passes), reported as learned transitions per second;
 //! * the deterministic transition count and the greedy-evaluation
-//!   node-epochs that training produces (exact-gated: identical in
-//!   quick and full mode, they only move when featurization, the
-//!   reward, the ε schedule or the fleet physics change).
+//!   node-epochs that training produces (they only move when
+//!   featurization, the reward, the ε schedule or the fleet physics
+//!   change; `tests/fleetrl_determinism.rs` pins this curriculum's
+//!   transition count and its policy's node-epochs on `live_final`).
 //!
 //! Run with: `cargo bench --bench fleetrl_train`
-//!
-//! With `MAMUT_BENCH_QUICK=1` only the timing repetitions shrink (the
-//! curriculum itself is unchanged, so the exact counters match full
-//! mode); with `MAMUT_BENCH_JSON=<path>` the metrics are merged into
-//! that file for the `bench_gate` regression check.
 
 use std::time::Instant;
 
 use mamut_fleetrl::{TrainConfig, Trainer};
 use mamut_scenario::catalog;
 
-fn quick() -> bool {
-    std::env::var("MAMUT_BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
-}
+/// Timed repetitions of the curriculum; the best one counts.
+const REPS: usize = 5;
 
 /// The fixed curriculum every repetition times: a diurnal preset and a
 /// bursty one, two episodes each, one replay pass. Small enough to
@@ -46,15 +41,11 @@ fn train_once() -> (Trainer, f64) {
 }
 
 fn main() {
-    let reps = if quick() { 2 } else { 5 };
-    println!(
-        "fleet-rl training bench{}",
-        if quick() { " [quick mode]" } else { "" }
-    );
+    println!("fleet-rl training bench");
 
     let (trainer, first_wall) = train_once();
     let transitions = trainer.transitions_seen();
-    let best_wall = (1..reps).map(|_| train_once().1).fold(first_wall, f64::min);
+    let best_wall = (1..REPS).map(|_| train_once().1).fold(first_wall, f64::min);
     let transitions_per_s = transitions as f64 / best_wall.max(1e-9);
     println!(
         "training curriculum: {} transitions in {:.3} s wall ({:.0} transitions/s)",
@@ -62,25 +53,10 @@ fn main() {
     );
 
     // Greedy evaluation of the trained policy on the diurnal preset —
-    // a deterministic function of the curriculum, so its node-epoch
-    // count is an exact canary for the whole learning stack.
+    // a deterministic function of the curriculum.
     let eval = trainer.evaluate(&catalog::daily_vod());
     println!(
         "greedy eval on daily_vod: {} node-epochs, {:.2}% delta, {} sessions",
         eval.node_epochs, eval.cluster_violation_percent, eval.total_sessions
     );
-
-    if let Ok(path) = std::env::var("MAMUT_BENCH_JSON") {
-        if !path.is_empty() {
-            let path = std::path::Path::new(&path);
-            let emit = |name: &str, value: f64| {
-                criterion::benchjson::merge_into(path, name, value)
-                    .unwrap_or_else(|e| eprintln!("bench json emission failed: {e}"));
-            };
-            emit("fleetrl_train_transitions_per_s", transitions_per_s);
-            // Exact learning canaries: identical in quick and full mode.
-            emit("fleetrl_train_transitions", transitions as f64);
-            emit("fleetrl_eval_node_epochs", eval.node_epochs as f64);
-        }
-    }
 }

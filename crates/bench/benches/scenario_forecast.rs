@@ -9,15 +9,10 @@
 //!   negligible next to node advancement;
 //! * end-to-end throughput of the diurnal preset served by an elastic
 //!   fleet under the seasonal [`ForecastScaler`], plus its
-//!   deterministic arrival/node-epoch counters (exact-gated: they only
-//!   move when scenario realization or scaling semantics change).
+//!   deterministic arrival/node-epoch counters (they only move when
+//!   scenario realization or scaling semantics change).
 //!
 //! Run with: `cargo bench --bench scenario_forecast`
-//!
-//! With `MAMUT_BENCH_QUICK=1` the timing loops shrink (the workload
-//! itself is unchanged, so the exact counters match full mode); with
-//! `MAMUT_BENCH_JSON=<path>` the metrics are merged into that file for
-//! the `bench_gate` regression check.
 
 use std::time::Instant;
 
@@ -28,9 +23,12 @@ use mamut_platform::Platform;
 use mamut_scenario::sizing::{self, SWEEP_EPOCH_S, SWEEP_SMOOTHING};
 use mamut_scenario::{catalog, RealizedScenario};
 
-fn quick() -> bool {
-    std::env::var("MAMUT_BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
-}
+/// Timed catalog realizations (and trace codec round trips).
+const REALIZE_REPS: usize = 50;
+/// Holt-Winters steps per timing pass.
+const STEP_REPS: usize = 200_000;
+/// Timed diurnal fleet runs; the best one counts.
+const FLEET_REPS: usize = 5;
 
 fn fixed_factory() -> ControllerFactory {
     Box::new(|req| {
@@ -51,8 +49,8 @@ fn run_fleet(realized: &RealizedScenario) -> (FleetSummary, f64) {
     );
     fleet.add_node(fixed_factory());
     fleet.set_autoscaler(
-        // The canonical sweep configuration the exact-gated canaries
-        // are pinned to — shared with examples/scenario_sweep.rs.
+        // The canonical sweep configuration, shared with
+        // examples/scenario_sweep.rs.
         Box::new(sizing::seasonal_sweep_scaler(realized)),
         Box::new(|| (Platform::xeon_e5_2667_v4(), fixed_factory())),
     );
@@ -71,18 +69,10 @@ fn mean_ns<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
 }
 
 fn main() {
-    let (realize_reps, step_reps, fleet_reps) = if quick() {
-        (10, 20_000, 2)
-    } else {
-        (50, 200_000, 5)
-    };
-    println!(
-        "scenario & forecasting bench{}",
-        if quick() { " [quick mode]" } else { "" }
-    );
+    println!("scenario & forecasting bench");
 
     // Catalog realization: the whole preset set, trace materialized.
-    let realize_ns = mean_ns(realize_reps, || {
+    let realize_ns = mean_ns(REALIZE_REPS, || {
         catalog::all()
             .iter()
             .map(|s| s.realize().expect("presets are valid").len())
@@ -98,7 +88,7 @@ fn main() {
 
     // Trace codec: encode + decode of the realized diurnal preset.
     let trace_bytes = diurnal.encode();
-    let codec_ns = mean_ns(realize_reps, || {
+    let codec_ns = mean_ns(REALIZE_REPS, || {
         let bytes = diurnal.encode();
         RealizedScenario::decode(&bytes).expect("round trip")
     });
@@ -114,13 +104,12 @@ fn main() {
     for epoch in 0..64u64 {
         hw.observe((8 + (epoch % 16) * 3) as usize, SWEEP_EPOCH_S);
     }
-    // Min of three passes, like the criterion shim's gated timings:
-    // the op is ~10 ns, so a single-pass mean would hand the 15 %
-    // bench gate sub-nanosecond jitter to trip on.
+    // Min of three passes, like the criterion shim: the op is ~10 ns,
+    // so a single-pass mean would mostly report scheduler jitter.
     let mut epoch = 0u64;
     let step_ns = (0..3)
         .map(|_| {
-            mean_ns(step_reps, || {
+            mean_ns(STEP_REPS, || {
                 hw.observe((8 + (epoch % 16) * 3) as usize, SWEEP_EPOCH_S);
                 epoch += 1;
                 hw.forecast_hz(1)
@@ -131,7 +120,7 @@ fn main() {
 
     // End-to-end: the diurnal preset under the seasonal scaler.
     let (summary, first_wall) = run_fleet(&diurnal);
-    let best_wall = (1..fleet_reps)
+    let best_wall = (1..FLEET_REPS)
         .map(|_| run_fleet(&diurnal).1)
         .fold(first_wall, f64::min);
     let frames_per_s = summary.total_frames as f64 / best_wall.max(1e-9);
@@ -145,22 +134,4 @@ fn main() {
         best_wall,
         frames_per_s / 1e6
     );
-
-    if let Ok(path) = std::env::var("MAMUT_BENCH_JSON") {
-        if !path.is_empty() {
-            let path = std::path::Path::new(&path);
-            let emit = |name: &str, value: f64| {
-                criterion::benchjson::merge_into(path, name, value)
-                    .unwrap_or_else(|e| eprintln!("bench json emission failed: {e}"));
-            };
-            emit("scenario_realize_ns", realize_ns);
-            emit("scenario_trace_codec_ns", codec_ns);
-            emit("scenario_forecast_step_ns", step_ns);
-            emit("scenario_fleet_frames_per_s", frames_per_s);
-            // Exact physics canaries: identical in quick and full mode,
-            // they move only when realization or scaling semantics do.
-            emit("scenario_diurnal_arrivals", diurnal.len() as f64);
-            emit("scenario_diurnal_node_epochs", summary.node_epochs as f64);
-        }
-    }
 }

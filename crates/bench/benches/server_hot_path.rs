@@ -13,13 +13,6 @@
 //!   bounds how much cache reuse a real fleet sees.
 //!
 //! Run with: `cargo bench --bench server_hot_path`
-//!
-//! With `MAMUT_BENCH_QUICK=1` the sweep shrinks to a CI-sized smoke run;
-//! with `MAMUT_BENCH_JSON=<path>` the 16-session figures (the ISSUE's
-//! acceptance point) are merged into that metrics file for the
-//! `bench_gate` regression check, together with the run's deterministic
-//! virtual duration (a physics canary: it only moves when the
-//! simulation's event semantics change).
 
 use std::time::Instant;
 
@@ -29,17 +22,8 @@ use mamut_metrics::{Align, Table};
 use mamut_transcode::{ServerSim, SessionConfig};
 use mamut_video::catalog;
 
-fn quick() -> bool {
-    std::env::var("MAMUT_BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-fn frames_per_session() -> u64 {
-    if quick() {
-        240
-    } else {
-        600
-    }
-}
+/// Frames every session transcodes.
+const FRAMES_PER_SESSION: u64 = 600;
 
 /// Session `i` of a sweep: alternating HR/LR streams, paper defaults.
 fn config(i: usize, frames: u64) -> SessionConfig {
@@ -71,7 +55,7 @@ fn mamut_controller(i: usize) -> Box<dyn Controller> {
 
 /// One timed run; returns (simulated frames, virtual seconds, wall seconds).
 fn run(sessions: usize, mamut: bool) -> (u64, f64, f64) {
-    let frames = frames_per_session();
+    let frames = FRAMES_PER_SESSION;
     let mut server = ServerSim::with_default_platform();
     for i in 0..sessions {
         let controller = if mamut {
@@ -101,15 +85,9 @@ fn best_of_3(sessions: usize, mamut: bool) -> (u64, f64, f64) {
 }
 
 fn main() {
-    let counts: &[usize] = if quick() {
-        &[1, 4, 16]
-    } else {
-        &[1, 2, 4, 8, 16, 32, 64]
-    };
     println!(
-        "server hot path — single ServerSim, {} frames/session, alternating HR/LR{}",
-        frames_per_session(),
-        if quick() { " [quick mode]" } else { "" }
+        "server hot path — single ServerSim, {FRAMES_PER_SESSION} frames/session, \
+         alternating HR/LR"
     );
     println!("(frames/s is simulated completions per wall second; best of 3 passes)\n");
     let mut table = Table::new(vec![
@@ -122,52 +100,19 @@ fn main() {
         "ns/event".into(),
     ]);
     table.set_alignments(vec![Align::Right; 7]);
-    let mut at_16: Option<(f64, f64, f64)> = None; // (fixed f/s, mamut f/s, virtual s)
-    for &n in counts {
-        let mut row = |series: &str, mamut: bool| -> (f64, f64) {
+    for n in [1, 2, 4, 8, 16, 32, 64] {
+        for (series, mamut) in [("fixed", false), ("mamut", true)] {
             let (frames, virtual_s, wall) = best_of_3(n, mamut);
-            let fps = frames as f64 / wall.max(1e-9);
             table.add_row(vec![
                 n.to_string(),
                 series.into(),
                 frames.to_string(),
                 format!("{virtual_s:.3}"),
                 format!("{:.2}", wall * 1e3),
-                format!("{fps:.0}"),
+                format!("{:.0}", frames as f64 / wall.max(1e-9)),
                 format!("{:.0}", wall * 1e9 / frames as f64),
             ]);
-            (fps, virtual_s)
-        };
-        let (fixed_fps, virtual_s) = row("fixed", false);
-        let (mamut_fps, _) = row("mamut", true);
-        if n == 16 {
-            at_16 = Some((fixed_fps, mamut_fps, virtual_s));
         }
     }
     println!("{}", table.to_plain());
-
-    if let Ok(path) = std::env::var("MAMUT_BENCH_JSON") {
-        if !path.is_empty() {
-            let (fixed_fps, mamut_fps, virtual_s) =
-                at_16.expect("every sweep includes 16 sessions");
-            let path = std::path::Path::new(&path);
-            let emit = |name: &str, value: f64| {
-                criterion::benchjson::merge_into(path, name, value)
-                    .unwrap_or_else(|e| eprintln!("bench json emission failed: {e}"));
-            };
-            emit("server_hot_path_frames_per_s", fixed_fps);
-            emit("server_hot_path_mamut_frames_per_s", mamut_fps);
-            // Exact-gated physics canary: only moves when event semantics
-            // change (the `_seconds` spelling avoids the `_s` cost-metric
-            // suffix so bench_gate treats it as deterministic). Rounded
-            // to 1 µs of virtual time: the fixed-knob run has no chaotic
-            // feedback, so cross-machine libm last-ulp drift stays far
-            // below the rounding grain while any real semantics change
-            // lands far above it.
-            emit(
-                "server_hot_path_virtual_seconds",
-                (virtual_s * 1e6).round() / 1e6,
-            );
-        }
-    }
 }

@@ -4,7 +4,10 @@
 //! Each `benches/*.rs` target is a standalone binary (`harness = false`)
 //! that prints the corresponding table/series; this library holds the
 //! shared machinery: controller factories, scenario runners, pretraining
-//! and multi-seed aggregation.
+//! and multi-seed aggregation. The remaining benches (`fleet_*`,
+//! `server_hot_path`, `snapshot_codec`, ...) are plain timings of one
+//! layer each; the repository's performance benchmark, with its pinned
+//! counts and digests, is `fleetbench/`.
 //!
 //! # Protocol
 //!

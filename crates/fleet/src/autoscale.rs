@@ -25,6 +25,8 @@
 //! any [`Forecaster`](crate::Forecaster) (seasonal-naive, Holt-Winters)
 //! through the same law.
 
+use std::cmp::Ordering;
+
 use crate::dispatch::NodeView;
 use crate::forecast::Forecaster;
 
@@ -207,11 +209,6 @@ impl ThresholdScaler {
         self.cooldown_epochs = epochs;
         self
     }
-
-    fn cooling_down(&self, epoch: u64) -> bool {
-        self.last_scale_epoch
-            .is_some_and(|last| epoch.saturating_sub(last) < self.cooldown_epochs)
-    }
 }
 
 impl Default for ThresholdScaler {
@@ -226,7 +223,7 @@ impl Autoscaler for ThresholdScaler {
     }
 
     fn plan(&mut self, signals: &ScaleSignals) -> ScaleDecision {
-        if self.cooling_down(signals.epoch) {
+        if cooling_down(self.last_scale_epoch, self.cooldown_epochs, signals.epoch) {
             return ScaleDecision::Hold;
         }
         let pool = signals.active.len();
@@ -248,6 +245,36 @@ impl Autoscaler for ThresholdScaler {
         }
         ScaleDecision::Hold
     }
+}
+
+/// Whether a scaler that last changed the pool at `last_scale_epoch`
+/// must still hold at `epoch`: fewer than `cooldown_epochs` have passed.
+fn cooling_down(last_scale_epoch: Option<u64>, cooldown_epochs: u64, epoch: u64) -> bool {
+    last_scale_epoch.is_some_and(|last| epoch.saturating_sub(last) < cooldown_epochs)
+}
+
+/// Little's-law sizing, shared by [`PredictiveScaler`] and
+/// [`ForecastScaler`]: `concurrency` resident sessions (arrival rate ×
+/// residence) plus the backlog already waiting, `sessions_per_node` to a
+/// node, clamped to `min_nodes..=max_nodes`. Grows or shrinks the pool
+/// to that size, stamping `last_scale_epoch` when it changes.
+fn littles_law(
+    signals: &ScaleSignals,
+    last_scale_epoch: &mut Option<u64>,
+    concurrency: f64,
+    sessions_per_node: f64,
+    (min_nodes, max_nodes): (usize, usize),
+) -> ScaleDecision {
+    let expected = concurrency + signals.queued_sessions as f64;
+    let target = ((expected / sessions_per_node).ceil() as usize).clamp(min_nodes, max_nodes);
+    let pool = signals.active.len();
+    let decision = match target.cmp(&pool) {
+        Ordering::Greater => ScaleDecision::Grow(target - pool),
+        Ordering::Less => ScaleDecision::Shrink(pool - target),
+        Ordering::Equal => return ScaleDecision::Hold,
+    };
+    *last_scale_epoch = Some(signals.epoch);
+    decision
 }
 
 /// Predictive scaling on an EWMA of the arrival rate.
@@ -355,26 +382,16 @@ impl Autoscaler for PredictiveScaler {
             self.primed = true;
             instant_hz
         };
-        if self
-            .last_scale_epoch
-            .is_some_and(|last| signals.epoch.saturating_sub(last) < self.cooldown_epochs)
-        {
+        if cooling_down(self.last_scale_epoch, self.cooldown_epochs, signals.epoch) {
             return ScaleDecision::Hold;
         }
-        // Little's law concurrency plus the backlog already waiting.
-        let expected = self.rate_hz * self.mean_session_s + signals.queued_sessions as f64;
-        let target = ((expected / self.sessions_per_node).ceil() as usize)
-            .clamp(self.min_nodes, self.max_nodes);
-        let pool = signals.active.len();
-        if target > pool {
-            self.last_scale_epoch = Some(signals.epoch);
-            ScaleDecision::Grow(target - pool)
-        } else if target < pool {
-            self.last_scale_epoch = Some(signals.epoch);
-            ScaleDecision::Shrink(pool - target)
-        } else {
-            ScaleDecision::Hold
-        }
+        littles_law(
+            signals,
+            &mut self.last_scale_epoch,
+            self.rate_hz * self.mean_session_s,
+            self.sessions_per_node,
+            (self.min_nodes, self.max_nodes),
+        )
     }
 }
 
@@ -550,28 +567,18 @@ impl Autoscaler for ForecastScaler {
         while self.recent_hz.len() as i64 > self.window_epochs(signals.epoch_s) {
             self.recent_hz.pop_front();
         }
-        if self
-            .last_scale_epoch
-            .is_some_and(|last| signals.epoch.saturating_sub(last) < self.cooldown_epochs)
-        {
+        if cooling_down(self.last_scale_epoch, self.cooldown_epochs, signals.epoch) {
             return ScaleDecision::Hold;
         }
-        // Little's law on the windowed rate, plus the backlog already
-        // waiting.
-        let expected = self.planned_rate_hz(signals.epoch_s) * self.mean_session_s
-            + signals.queued_sessions as f64;
-        let target = ((expected / self.sessions_per_node).ceil() as usize)
-            .clamp(self.min_nodes, self.max_nodes);
-        let pool = signals.active.len();
-        if target > pool {
-            self.last_scale_epoch = Some(signals.epoch);
-            ScaleDecision::Grow(target - pool)
-        } else if target < pool {
-            self.last_scale_epoch = Some(signals.epoch);
-            ScaleDecision::Shrink(pool - target)
-        } else {
-            ScaleDecision::Hold
-        }
+        // Little's law on the windowed rate.
+        let concurrency = self.planned_rate_hz(signals.epoch_s) * self.mean_session_s;
+        littles_law(
+            signals,
+            &mut self.last_scale_epoch,
+            concurrency,
+            self.sessions_per_node,
+            (self.min_nodes, self.max_nodes),
+        )
     }
 }
 

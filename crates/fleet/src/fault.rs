@@ -141,6 +141,18 @@ impl FaultPlan {
         &self.events
     }
 
+    /// The events due by `epoch` that the walk at `cursor` has not yet
+    /// taken, in plan order; advances `cursor` past them. A coordinator
+    /// keeps one cursor per run and calls this once per epoch.
+    pub(crate) fn take_due(&self, cursor: &mut usize, epoch: u64) -> Vec<FaultEvent> {
+        let start = *cursor;
+        *cursor += self.events[start..]
+            .iter()
+            .take_while(|event| event.epoch() <= epoch)
+            .count();
+        self.events[start..*cursor].to_vec()
+    }
+
     fn push(&mut self, event: FaultEvent) {
         self.events.push(event);
         self.events.sort_by_key(FaultEvent::epoch);

@@ -99,7 +99,7 @@ pub struct ShardedFleetSim {
     knowledge_syncs: u64,
     /// Coordinator copy of the fault plan: sync-loss and partition
     /// events execute here; node-level events run inside the shards.
-    fault_plan: Option<FaultPlan>,
+    fault_plan: FaultPlan,
     /// Cursor into the plan's (epoch-sorted) event list.
     next_fault: usize,
     /// Upcoming sync rounds to suppress (injected sync loss).
@@ -135,7 +135,7 @@ impl ShardedFleetSim {
             shards: Vec::new(),
             inter_shard_migrations: 0,
             knowledge_syncs: 0,
-            fault_plan: None,
+            fault_plan: FaultPlan::new(),
             next_fault: 0,
             sync_loss_rounds: 0,
             sync_rounds_lost: 0,
@@ -204,7 +204,7 @@ impl ShardedFleetSim {
             sim.set_shard_index(index);
             sim.set_fault_plan(plan.clone());
         }
-        self.fault_plan = Some(plan);
+        self.fault_plan = plan;
     }
 
     /// Adds a shard: a fully configured [`FleetSim`] (nodes, dispatcher,
@@ -321,15 +321,7 @@ impl ShardedFleetSim {
     /// executes its own through its plan copy.
     fn apply_coordinator_faults(&mut self, epoch: u64) {
         self.partitions.retain(|&(_, until)| until > epoch);
-        let mut due = Vec::new();
-        if let Some(plan) = &self.fault_plan {
-            let events = plan.events();
-            while self.next_fault < events.len() && events[self.next_fault].epoch() <= epoch {
-                due.push(events[self.next_fault].clone());
-                self.next_fault += 1;
-            }
-        }
-        for event in due {
+        for event in self.fault_plan.take_due(&mut self.next_fault, epoch) {
             match event {
                 FaultEvent::SyncLoss { rounds, .. } => {
                     self.sync_loss_rounds += rounds;

@@ -139,8 +139,9 @@ pub struct FleetSim {
     /// Warm starts already served when the run began (finish subtracts
     /// it so the summary counts this run's seeds only).
     seeds_at_start: u64,
-    /// Scripted faults to inject between epochs (none by default).
-    fault_plan: Option<FaultPlan>,
+    /// Scripted faults to inject between epochs (an empty plan by
+    /// default).
+    fault_plan: FaultPlan,
     /// Periodic checkpoint capture (off by default).
     checkpoint_policy: Option<CheckpointPolicy>,
     /// Latest encoded checkpoint bundle — what a crash recovers from.
@@ -197,7 +198,7 @@ impl FleetSim {
             phase_marks: Vec::new(),
             dormant: std::collections::BTreeMap::new(),
             seeds_at_start: 0,
-            fault_plan: None,
+            fault_plan: FaultPlan::new(),
             checkpoint_policy: None,
             checkpoint: None,
             pending_replacements: Vec::new(),
@@ -220,7 +221,7 @@ impl FleetSim {
     /// pool sits below the plan's degrade watermark × the peak pool
     /// size, new arrivals are shed instead of queued.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault_plan = Some(plan);
+        self.fault_plan = plan;
     }
 
     /// Installs periodic checkpointing: every
@@ -361,7 +362,9 @@ impl FleetSim {
         &self.nodes
     }
 
-    /// Every active node's view, in id order.
+    /// Every active node's view, in id order — built only for the
+    /// policies that read views (dispatcher, autoscaler, rebalancer);
+    /// the fleet's own choices read [`FleetNode::utilization`].
     fn active_views(&self) -> Vec<NodeView> {
         self.nodes
             .iter()
@@ -657,34 +660,27 @@ impl FleetSim {
     /// empty) — the load signal the sharded coordinator's overflow
     /// router compares across shards.
     pub(crate) fn mean_active_utilization(&self) -> f64 {
-        let utils: Vec<f64> = self
-            .nodes
-            .iter()
-            .filter(|n| n.is_active())
-            .map(FleetNode::utilization)
-            .collect();
-        if utils.is_empty() {
-            0.0
-        } else {
-            utils.iter().sum::<f64>() / utils.len() as f64
+        let active = || self.nodes.iter().filter(|n| n.is_active());
+        match active().count() {
+            0 => 0.0,
+            count => active().map(FleetNode::utilization).sum::<f64>() / count as f64,
         }
     }
 
-    /// Detaches one live session for cross-shard overflow: the busiest
-    /// active node's migration candidate (most frames remaining). `None`
-    /// when no node holds a live session.
+    /// Detaches one live session for cross-shard overflow: the migration
+    /// candidate (most frames remaining) of the busiest active node that
+    /// has one, lowest id on ties. `None` when no node holds a live
+    /// session.
     pub(crate) fn overflow_detach(&mut self) -> Result<Option<MigratedSession>, FleetError> {
-        let mut views = self.active_views();
-        views.sort_by(|a, b| {
-            cmp_utilization(b.utilization(), a.utilization()).then(a.node_id.cmp(&b.node_id))
-        });
-        for view in views {
-            if let Some(sid) = self.nodes[view.node_id].migration_candidate() {
-                let migrated = self.nodes[view.node_id].detach_session(sid)?;
-                return Ok(Some(migrated));
-            }
-        }
-        Ok(None)
+        let donor = self
+            .nodes
+            .iter()
+            .filter(|n| n.is_active())
+            .filter_map(|n| Some((n.id(), n.utilization(), n.migration_candidate()?)))
+            .min_by(|a, b| cmp_utilization(b.1, a.1).then(a.0.cmp(&b.0)));
+        donor
+            .map(|(id, _, sid)| self.nodes[id].detach_session(sid))
+            .transpose()
     }
 
     /// Attaches an overflow session from a peer shard onto the
@@ -803,18 +799,16 @@ impl FleetSim {
     /// ties retiring the newest — but never the last active node.
     fn decommission_nodes(&mut self, count: usize) -> Result<(), FleetError> {
         for _ in 0..count {
-            let views = self.active_views();
-            if views.len() <= 1 {
+            if self.active_node_count() <= 1 {
                 break; // the pool never empties, whatever the policy says
             }
-            let victim = views
+            let (victim, _) = self
+                .nodes
                 .iter()
-                .min_by(|a, b| {
-                    cmp_utilization(a.utilization(), b.utilization())
-                        .then(b.node_id.cmp(&a.node_id))
-                })
-                .expect("two or more views")
-                .node_id;
+                .filter(|n| n.is_active())
+                .map(|n| (n.id(), n.utilization()))
+                .min_by(|a, b| cmp_utilization(a.1, b.1).then(b.0.cmp(&a.0)))
+                .expect("two or more active nodes");
             self.drain_and_retire(victim)?;
         }
         Ok(())
@@ -927,7 +921,7 @@ impl FleetSim {
     /// runs on the coordinator between epochs, in a fixed order, so
     /// chaos runs are deterministic across worker counts.
     fn inject_faults(&mut self, epoch_start: f64) -> Result<(), FleetError> {
-        if self.fault_plan.is_none()
+        if self.fault_plan.events().is_empty()
             && self.pending_replacements.is_empty()
             && self.throttles.is_empty()
         {
@@ -976,15 +970,7 @@ impl FleetSim {
             }
         }
         // 3. New events due this epoch fire in plan order.
-        let mut due_events = Vec::new();
-        if let Some(plan) = &self.fault_plan {
-            let events = plan.events();
-            while self.next_fault < events.len() && events[self.next_fault].epoch() <= self.epoch {
-                due_events.push(events[self.next_fault].clone());
-                self.next_fault += 1;
-            }
-        }
-        for event in due_events {
+        for event in self.fault_plan.take_due(&mut self.next_fault, self.epoch) {
             match event {
                 FaultEvent::NodeCrash { shard, node, .. } if shard == self.shard_index => {
                     self.crash_node(node)?;
@@ -1103,11 +1089,7 @@ impl FleetSim {
         // history. Its dead sessions' QoS moved (or restarted) elsewhere.
         self.resample_node_totals(victim);
         if self.provisioner.is_some() {
-            let delay = self
-                .fault_plan
-                .as_ref()
-                .map(|p| p.replacement_delay_epochs.max(1))
-                .unwrap_or(1);
+            let delay = self.fault_plan.replacement_delay_epochs.max(1);
             self.pending_replacements
                 .push((self.epoch + delay, self.epoch));
         }
@@ -1134,7 +1116,7 @@ impl FleetSim {
     /// fraction of the peak pool size. While degraded, new arrivals are
     /// shed so the survivors' existing sessions keep their QoS.
     fn degraded(&self) -> bool {
-        let Some(watermark) = self.fault_plan.as_ref().and_then(|p| p.degrade_watermark) else {
+        let Some(watermark) = self.fault_plan.degrade_watermark else {
             return false;
         };
         (self.active_node_count() as f64) < watermark * self.aggregate.peak_nodes() as f64

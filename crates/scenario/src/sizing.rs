@@ -3,12 +3,11 @@
 //! `examples/scenario_sweep.rs`, `benches/scenario_forecast.rs` and
 //! `tests/scenario_determinism.rs`.
 //!
-//! The exact-gated bench counters (`scenario_diurnal_node_epochs`) and
+//! The pinned counts of the `fleetbench` `elastic_mamut` workload and
 //! the sweep's asserted seasonal-vs-EWMA win both depend on this
 //! configuration, so it lives in one place: retune it here and every
-//! consumer — example assertion, bench canary, determinism matrix —
-//! moves together instead of drifting apart behind copy-pasted
-//! constants.
+//! consumer — example assertion, benchmark, determinism matrix — moves
+//! together instead of drifting apart behind copy-pasted constants.
 
 use mamut_fleet::{ForecastScaler, HoltWinters, PredictiveScaler};
 

@@ -367,7 +367,8 @@ impl ServerSim {
     /// the event semantics now), so this oracle checks the caching, not
     /// the physics. The physics are pinned separately — the
     /// hand-computation, epoch-slicing, migration frame-count and
-    /// materialization tests, plus the exact-gated bench canary.
+    /// materialization tests, plus the summary digests `fleetbench`
+    /// pins.
     #[cfg(feature = "oracle")]
     pub fn set_naive_engine(&mut self, naive: bool) {
         self.naive = naive;

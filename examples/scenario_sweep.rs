@@ -34,9 +34,9 @@ fn fixed_factory() -> ControllerFactory {
 }
 
 /// Both scalers come from `mamut_scenario::sizing` — the canonical
-/// sweep configuration the bench canaries are gated on — so the only
-/// difference between the two runs is what the scaler believes about
-/// the future.
+/// sweep configuration, which the `elastic_mamut` benchmark workload
+/// also runs — so the only difference between the two runs is what the
+/// scaler believes about the future.
 fn scaler(seasonal: bool, realized: &RealizedScenario) -> Box<dyn Autoscaler> {
     if seasonal {
         Box::new(sizing::seasonal_sweep_scaler(realized))

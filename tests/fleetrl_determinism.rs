@@ -1,14 +1,16 @@
 //! Fleet-RL determinism: offline training and greedy evaluation are
 //! pure functions of the training configuration — the learned policy's
 //! snapshot bytes and the evaluation summary must be identical for any
-//! fleet worker count, and a snapshot restored into a fresh trainer
-//! must continue exactly like the original.
+//! fleet worker count (and its counts equal to pinned values), and a
+//! snapshot restored into a fresh trainer must continue exactly like the
+//! original.
 //!
 //! Like `tests/fleet_determinism.rs`, the worker counts exercised
 //! against the 1-worker reference come from `MAMUT_FLEET_WORKERS` when
 //! set (comma-separated); CI runs this file as a matrix over 1, 2 and
 //! 8 workers.
 
+use mamut::fleet::FleetSummary;
 use mamut::fleetrl::{TrainConfig, Trainer};
 use mamut::scenario::catalog;
 
@@ -36,29 +38,46 @@ fn quick_cfg(workers: usize) -> TrainConfig {
 }
 
 /// Train on two contrasting presets and evaluate a third; return the
-/// policy bytes and the rendered evaluation summary.
-fn train_and_eval(workers: usize) -> (Vec<u8>, String) {
+/// policy bytes, the transitions learned and the evaluation summary.
+fn train_and_eval(workers: usize) -> (Vec<u8>, u64, FleetSummary) {
     let mut trainer = Trainer::new(quick_cfg(workers));
     trainer.train_scenario(&catalog::daily_vod());
     trainer.train_scenario(&catalog::flash_mob());
     let summary = trainer.evaluate(&catalog::live_final());
-    (trainer.snapshot_state(), summary.to_string())
+    (
+        trainer.snapshot_state(),
+        trainer.transitions_seen(),
+        summary,
+    )
 }
 
 #[test]
 fn training_and_evaluation_are_identical_across_worker_counts() {
-    let (reference_policy, reference_summary) = train_and_eval(1);
+    let (reference_policy, reference_transitions, reference_eval) = train_and_eval(1);
+    let reference_summary = reference_eval.to_string();
     for workers in worker_counts(&[2, 8]) {
-        let (policy, summary) = train_and_eval(workers);
+        let (policy, transitions, eval) = train_and_eval(workers);
         assert_eq!(
             reference_policy, policy,
             "trained policy diverged at {workers} workers"
         );
         assert_eq!(
-            reference_summary, summary,
+            reference_transitions, transitions,
+            "transitions diverged at {workers} workers"
+        );
+        assert_eq!(
+            reference_summary,
+            eval.to_string(),
             "evaluation diverged at {workers} workers"
         );
     }
+    // Exact pins: these counts move only when featurization, the reward,
+    // the ε schedule or the fleet physics change.
+    assert_eq!(reference_transitions, 122, "transitions learned");
+    assert_eq!(
+        reference_eval.node_epochs, 225,
+        "greedy-evaluation node-epochs"
+    );
     // The evaluation run carries learned-policy provenance.
     assert!(
         reference_summary.contains("policy:"),
