@@ -6,9 +6,10 @@
 //! target: one global rebalance/autoscale pass per epoch, every node
 //! visited every epoch, one `Arc<Mutex>` knowledge store. Sharding
 //! splits the fleet the way real deployments do — by region or cell —
-//! so per-epoch coordination cost is per-shard, shard steps touch only
-//! *active* nodes (the idle fast path parks finished ones), and the
-//! expensive global operations become explicit, infrequent exchanges:
+//! so per-epoch coordination cost is per-shard, a shard whose nodes have
+//! all finished ticks them on the coordinator without spawning a worker,
+//! and the expensive global operations become explicit, infrequent
+//! exchanges:
 //!
 //! * **knowledge sync** — every [`ShardConfig::sync_interval`] epochs
 //!   the shard stores are folded into a fleet-wide store (the
@@ -148,7 +149,7 @@ impl ShardedFleetSim {
     /// Switches structured event tracing on or off for the whole sharded
     /// deployment: every shard records its own timeline and the
     /// coordinator records sync/overflow events on the
-    /// [`COORDINATOR_LANE`]. Call after every shard has been added.
+    /// [`COORDINATOR_LANE`]. Shards added later take the same mode.
     pub fn set_telemetry(&mut self, mode: TelemetryMode) {
         self.telemetry.set_mode(mode);
         for (_, sim) in &mut self.shards {
@@ -190,8 +191,8 @@ impl ShardedFleetSim {
             .record(completed.saturating_sub(1), at_us, event);
     }
 
-    /// Installs a fault plan across the sharded deployment — call after
-    /// every shard has been added. Node-level events (crashes, thermal
+    /// Installs a fault plan across the sharded deployment (shards added
+    /// later take it too). Node-level events (crashes, thermal
     /// throttles) are executed by the shard their `(shard, node)`
     /// address names; coordinator-level events run here: a
     /// [`FaultEvent::SyncLoss`] suppresses the next due knowledge-sync
@@ -200,8 +201,7 @@ impl ShardedFleetSim {
     /// shard's nodes keep serving — the partition severs coordination,
     /// not the shard).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        for (index, (_, sim)) in self.shards.iter_mut().enumerate() {
-            sim.set_shard_index(index);
+        for (_, sim) in &mut self.shards {
             sim.set_fault_plan(plan.clone());
         }
         self.fault_plan = plan;
@@ -211,10 +211,16 @@ impl ShardedFleetSim {
     /// workload, optional autoscaler/rebalancer/store) under a region
     /// name. Shards step in the order they were added. All shards must
     /// share one epoch length — lockstep epochs are what keep clocks
-    /// aligned for cross-shard migration (checked at `run`).
-    pub fn add_shard(&mut self, name: impl Into<String>, sim: FleetSim) -> usize {
+    /// aligned for cross-shard migration (checked at `run`). The shard
+    /// learns its index and takes the deployment's fault plan and
+    /// telemetry mode, replacing any it was configured with on its own.
+    pub fn add_shard(&mut self, name: impl Into<String>, mut sim: FleetSim) -> usize {
+        let index = self.shards.len();
+        sim.set_shard_index(index);
+        sim.set_fault_plan(self.fault_plan.clone());
+        sim.set_telemetry(self.telemetry.mode());
         self.shards.push((name.into(), sim));
-        self.shards.len() - 1
+        index
     }
 
     /// Number of shards.
@@ -237,13 +243,23 @@ impl ShardedFleetSim {
     /// # Errors
     ///
     /// [`FleetError::NoNodes`] without shards (or from a shard without
-    /// nodes); [`FleetError::InvalidConfig`] when shards disagree on the
-    /// epoch length; any shard error surfaces unchanged;
+    /// nodes); [`FleetError::InvalidConfig`] when an overflow watermark
+    /// is not finite, `overflow_low` exceeds `overflow_high`, or shards
+    /// disagree on the epoch length; any shard error surfaces unchanged;
     /// [`FleetError::EpochBudgetExhausted`] when a shard's workload
     /// cannot drain within its epoch budget.
     pub fn run(&mut self) -> Result<ShardedFleetSummary, FleetError> {
         if self.shards.is_empty() {
             return Err(FleetError::NoNodes);
+        }
+        // A NaN or infinite watermark silently disables overflow routing;
+        // inverted ones make a shard hot and cold at once, so shards would
+        // trade sessions back and forth.
+        let (low, high) = (self.config.overflow_low, self.config.overflow_high);
+        if !(low.is_finite() && high.is_finite() && low <= high) {
+            return Err(FleetError::InvalidConfig(format!(
+                "overflow watermarks must be finite with low <= high, got {low} and {high}"
+            )));
         }
         let epoch_s = self.shards[0].1.config().epoch_s;
         for (name, sim) in &self.shards {
@@ -289,8 +305,8 @@ impl ShardedFleetSim {
                 break;
             }
             // Only an undrained shard can be stuck: a shard that finished
-            // early keeps stepping in lockstep (cheap idle epochs under
-            // the fast path) without burning its own budget.
+            // early keeps stepping in lockstep (cheap idle epochs, ticked
+            // on the coordinator) without burning its own budget.
             for (_, sim) in &self.shards {
                 if !sim.is_drained() && sim.epoch() >= sim.config().max_epochs {
                     return Err(FleetError::EpochBudgetExhausted {
@@ -300,10 +316,11 @@ impl ShardedFleetSim {
             }
         }
         let epochs = self.shards[0].1.epoch();
-        let mut shards = Vec::with_capacity(self.shards.len());
-        for (name, sim) in &mut self.shards {
-            shards.push((name.clone(), sim.finish_run()?));
-        }
+        let shards = self
+            .shards
+            .iter_mut()
+            .map(|(name, sim)| (name.clone(), sim.finish_run()))
+            .collect();
         Ok(ShardedFleetSummary {
             epochs,
             duration_s: epochs as f64 * epoch_s,
@@ -384,7 +401,7 @@ impl ShardedFleetSim {
                 return Ok(()); // the hot shard holds no live session
             };
             let session = migrated.request.id;
-            self.shards[target].1.overflow_attach(migrated)?;
+            self.shards[target].1.overflow_attach(migrated);
             self.inter_shard_migrations += 1;
             self.record_coordinator(TelemetryEvent::OverflowMigration {
                 session,
@@ -813,17 +830,48 @@ mod tests {
 
     #[test]
     fn node_faults_execute_only_in_their_addressed_shard() {
-        let mut sharded = ShardedFleetSim::new(ShardConfig::default());
-        sharded.add_shard("east", shard_sim(21, 6, 2));
-        sharded.add_shard("west", shard_sim(22, 10, 2));
-        sharded.set_fault_plan(crate::fault::FaultPlan::new().with_crash_in(2, 1, 0));
-        let summary = sharded.run().unwrap();
+        // The plan and telemetry mode reach every shard whether they are
+        // set before or after the shards are added.
+        let configure = |sharded: &mut ShardedFleetSim| {
+            sharded.set_fault_plan(crate::fault::FaultPlan::new().with_crash_in(2, 1, 0));
+            sharded.set_telemetry(TelemetryMode::Full);
+        };
+        let run = |configure_first: bool| {
+            let mut sharded = ShardedFleetSim::new(ShardConfig::default());
+            if configure_first {
+                configure(&mut sharded);
+            }
+            sharded.add_shard("east", shard_sim(21, 6, 2));
+            sharded.add_shard("west", shard_sim(22, 10, 2));
+            if !configure_first {
+                configure(&mut sharded);
+            }
+            let summary = sharded.run().unwrap();
+            (summary, sharded.trace().encode())
+        };
+        let (summary, trace) = run(false);
         assert_eq!(summary.shards[0].1.crashes, 0, "east was never addressed");
         assert_eq!(summary.shards[1].1.crashes, 1);
         assert_eq!(summary.total_sessions(), 16, "no arrival was lost");
         let text = summary.to_string();
         assert!(text.contains("shard=west faults: 1 crashes"), "{text}");
         assert!(!text.contains("shard=east faults:"), "{text}");
+        assert!(
+            run(true) == (summary, trace),
+            "configuring before adding shards changed the run"
+        );
+    }
+
+    #[test]
+    fn invalid_overflow_watermarks_error_before_any_shard_steps() {
+        for (low, high) in [(f64::NAN, 0.9), (0.5, f64::INFINITY), (0.9, 0.5)] {
+            let config = ShardConfig::default().with_overflow_watermarks(low, high);
+            let mut sharded = ShardedFleetSim::new(config);
+            sharded.add_shard("east", shard_sim(21, 6, 2));
+            let err = sharded.run().unwrap_err();
+            assert!(matches!(err, FleetError::InvalidConfig(_)), "{err:?}");
+            assert_eq!(sharded.shards[0].1.epoch(), 0, "a shard stepped");
+        }
     }
 
     #[test]

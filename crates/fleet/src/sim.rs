@@ -5,14 +5,15 @@
 //!
 //! Virtual time advances in fixed-length epochs. At each boundary the
 //! coordinator (one thread) drains due arrivals through the dispatch
-//! policy — queued leftovers first, FIFO — then hands the nodes to a
-//! scoped thread pool that advances each one to the next boundary.
-//! Within an epoch nodes are independent (a session placed at a
-//! boundary starts at that boundary; nothing moves mid-epoch), so node
-//! advancement is embarrassingly parallel and, crucially,
-//! **deterministic regardless of worker count**: every node computes
-//! exactly the same event sequence whether the fleet runs on 1 thread
-//! or 16, and aggregation always folds nodes in id order.
+//! policy — queued leftovers first, FIFO — then advances every node to
+//! the next boundary: nodes with live sessions on a scoped thread pool,
+//! idle ones on the coordinator itself. Within an epoch nodes are
+//! independent (a session placed at a boundary starts at that boundary;
+//! nothing moves mid-epoch), so node advancement is embarrassingly
+//! parallel and, crucially, **deterministic regardless of worker
+//! count**: every node computes exactly the same event sequence whether
+//! the fleet runs on 1 thread or 16, and aggregation always folds nodes
+//! in id order.
 //!
 //! Everything stateful beyond node advancement happens on the
 //! coordinating thread *between* epochs, in a fixed order: finished
@@ -30,6 +31,7 @@
 //! are unaffected — a migration is a move, not an admission.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use mamut_metrics::fleet::FleetAggregate;
@@ -58,8 +60,9 @@ pub struct FleetConfig {
     /// Epoch length (virtual seconds); arrivals quantize up to the next
     /// boundary (admitted slightly late, never before they arrive).
     pub epoch_s: f64,
-    /// OS worker threads advancing nodes within an epoch (clamped to
-    /// `[1, nodes]`). Results do not depend on this value.
+    /// OS worker threads advancing nodes with live sessions within an
+    /// epoch (clamped to `[1, such nodes]`). Results do not depend on
+    /// this value.
     pub worker_threads: usize,
     /// Per-node power budget (W) exposed to power-aware dispatch.
     pub power_cap_w: f64,
@@ -72,15 +75,6 @@ pub struct FleetConfig {
     /// is clamped here — the backstop behind whatever `max_nodes` the
     /// scaling policy itself enforces.
     pub max_pool_nodes: usize,
-    /// Idle-node fast path: a node whose sessions have all finished has
-    /// its next event beyond every epoch horizon, so the coordinator
-    /// parks it in a *dormant set* — skipping its per-epoch utilization
-    /// sample, advance, harvest and metrics work — and replays the
-    /// missed idle epochs exactly (same boundaries, same sensor records,
-    /// same aggregate pushes) the moment the node is touched again. Results
-    /// are byte-identical with the flag on or off; per-epoch coordinator
-    /// cost scales with *active* nodes instead of pool size.
-    pub idle_fast_path: bool,
 }
 
 impl Default for FleetConfig {
@@ -92,7 +86,6 @@ impl Default for FleetConfig {
             max_events_per_epoch: 10_000_000,
             max_epochs: 100_000,
             max_pool_nodes: 512,
-            idle_fast_path: true,
         }
     }
 }
@@ -107,12 +100,6 @@ impl FleetConfig {
     /// Overrides the epoch length.
     pub fn with_epoch_s(mut self, epoch_s: f64) -> Self {
         self.epoch_s = epoch_s;
-        self
-    }
-
-    /// Enables or disables the idle-node fast path (on by default).
-    pub fn with_idle_fast_path(mut self, enabled: bool) -> Self {
-        self.idle_fast_path = enabled;
         self
     }
 }
@@ -131,11 +118,6 @@ pub struct FleetSim {
     autoscaler: Option<Box<dyn Autoscaler>>,
     provisioner: Option<NodeProvisioner>,
     phase_marks: Vec<(u64, String)>,
-    /// Idle nodes parked by the fast path: node id → first epoch whose
-    /// advance was skipped (BTreeMap for deterministic iteration at
-    /// settle time). A parked node's view and QoS totals cannot change,
-    /// so they are read off the node itself at wake time.
-    dormant: std::collections::BTreeMap<usize, u64>,
     /// Warm starts already served when the run began (finish subtracts
     /// it so the summary counts this run's seeds only).
     seeds_at_start: u64,
@@ -196,7 +178,6 @@ impl FleetSim {
             autoscaler: None,
             provisioner: None,
             phase_marks: Vec::new(),
-            dormant: std::collections::BTreeMap::new(),
             seeds_at_start: 0,
             fault_plan: FaultPlan::new(),
             checkpoint_policy: None,
@@ -384,63 +365,6 @@ impl FleetSim {
             .map(|(id, _)| id)
     }
 
-    /// Parks every active node whose sessions have all finished: its
-    /// next event lies beyond every epoch horizon, so per-epoch work on
-    /// it is pure idle accounting — deferred to [`FleetSim::wake_node`]
-    /// and replayed exactly there. Runs at the top of each epoch, after
-    /// the previous epoch's harvest, so a parked node has nothing left
-    /// to publish.
-    fn update_dormant(&mut self) {
-        let epoch = self.epoch;
-        for node in &self.nodes {
-            if node.is_active() && node.all_finished() {
-                self.dormant.entry(node.id()).or_insert(epoch);
-            }
-        }
-    }
-
-    /// Un-parks a dormant node, replaying every skipped epoch exactly:
-    /// each missed boundary gets the same `run_epoch` call (one idle
-    /// sensor record per epoch — identical fp sequence to the unskipped
-    /// run) and the same aggregate record the live loop would have made.
-    /// `end_exclusive` is the first epoch the caller will handle
-    /// normally: the current epoch for pre-advance wakes (dispatch,
-    /// decommission, settle), the next for post-advance wakes
-    /// (rebalance-attach after this epoch's advance).
-    fn wake_node(&mut self, id: usize, end_exclusive: u64) -> Result<(), FleetError> {
-        let Some(from_epoch) = self.dormant.remove(&id) else {
-            return Ok(());
-        };
-        let max_events = self.config.max_events_per_epoch;
-        for k in from_epoch..end_exclusive {
-            let until = (k + 1) as f64 * self.config.epoch_s;
-            let node = &mut self.nodes[id];
-            node.run_epoch(until, max_events)
-                .map_err(|source| FleetError::Node { node: id, source })?;
-            let (frames, violations) = node.qos_totals();
-            let sensor = node.server().sensor();
-            self.aggregate.record_node_epoch(
-                id,
-                frames,
-                violations,
-                sensor.total_energy_j(),
-                sensor.total_time_s(),
-                node.utilization(),
-            );
-        }
-        Ok(())
-    }
-
-    /// Replays every still-dormant node through the end of the run so
-    /// idle time and energy are fully accounted before the summary.
-    fn settle_dormant(&mut self) -> Result<(), FleetError> {
-        let parked: Vec<usize> = self.dormant.keys().copied().collect();
-        for id in parked {
-            self.wake_node(id, self.epoch)?;
-        }
-        Ok(())
-    }
-
     /// Runs the whole workload to completion: every arrival dispatched
     /// (or rejected), every admitted session transcoded to the end.
     ///
@@ -472,7 +396,7 @@ impl FleetSim {
                 return Err(FleetError::EpochBudgetExhausted { epochs: self.epoch });
             }
         }
-        self.finish_run()
+        Ok(self.finish_run())
     }
 
     /// Validates the configuration and resets run-scoped state. The
@@ -490,7 +414,6 @@ impl FleetSim {
             )));
         }
         self.aggregate = FleetAggregate::new(self.nodes.len());
-        self.dormant.clear();
         self.seeds_at_start = self.seeds_served();
         self.checkpoint = None;
         self.pending_replacements.clear();
@@ -507,9 +430,6 @@ impl FleetSim {
     pub(crate) fn step_epoch(&mut self) -> Result<(), FleetError> {
         let epoch_start = self.epoch as f64 * self.config.epoch_s;
         let boundary = (self.epoch + 1) as f64 * self.config.epoch_s;
-        if self.config.idle_fast_path {
-            self.update_dormant();
-        }
         if self.telemetry.enabled() {
             let at_us = self.epoch_us(self.epoch);
             self.telemetry.record(
@@ -540,19 +460,18 @@ impl FleetSim {
         self.aggregate
             .record_pool_size(self.epoch, self.active_node_count());
         self.dispatch_due(epoch_start)?;
-        // The nodes advancing this epoch (active, not parked), with their
+        // The nodes advancing this epoch (every active one), with their
         // utilization sampled after placement, before advancement: it
         // describes the demand each node carries *through* the epoch
-        // being simulated. Only these burn a node-epoch; dormant nodes'
-        // samples are replayed at wake time.
-        let awake: Vec<(usize, f64)> = self
+        // being simulated. Each burns one node-epoch.
+        let active: Vec<(usize, f64)> = self
             .nodes
             .iter()
-            .filter(|n| n.is_active() && !self.dormant.contains_key(&n.id()))
+            .filter(|n| n.is_active())
             .map(|n| (n.id(), n.utilization()))
             .collect();
         self.advance_nodes(boundary)?;
-        for &(id, util) in &awake {
+        for &(id, util) in &active {
             let node = &self.nodes[id];
             let (frames, violations) = node.qos_totals();
             let sensor = node.server().sensor();
@@ -565,14 +484,13 @@ impl FleetSim {
                 util,
             );
         }
-        // Session completions and knowledge harvest both read each awake
+        // Session completions and knowledge harvest both read each active
         // node's finished-session list, which holds exactly this epoch's
-        // advance: they run after it and before any wake replay (which
-        // would restart a woken node's list). Node-id order, then
-        // session-id order, keeps both independent of the worker count.
+        // advance. Node-id order, then session-id order, keeps both
+        // independent of the worker count.
         if self.telemetry.enabled() {
             let at_end_us = self.epoch_us(self.epoch + 1);
-            for &(id, _) in &awake {
+            for &(id, _) in &active {
                 for &(_, session, frames) in self.nodes[id].finished_sessions() {
                     self.telemetry.record(
                         self.epoch,
@@ -586,7 +504,7 @@ impl FleetSim {
                 }
             }
         }
-        self.harvest_knowledge(&awake);
+        self.harvest_knowledge(&active);
         self.rebalance()?;
         self.telemetry.record(
             self.epoch,
@@ -606,9 +524,8 @@ impl FleetSim {
             && self.nodes.iter().all(FleetNode::all_finished)
     }
 
-    /// Settles dormant nodes and assembles the run report.
-    pub(crate) fn finish_run(&mut self) -> Result<FleetSummary, FleetError> {
-        self.settle_dormant()?;
+    /// Assembles the run report.
+    pub(crate) fn finish_run(&mut self) -> FleetSummary {
         self.aggregate
             .set_warm_starts(self.seeds_served() - self.seeds_at_start);
         let facts: Vec<NodeFacts> = self
@@ -637,7 +554,7 @@ impl FleetSim {
             self.nodes.iter().map(FleetNode::summary).collect(),
         );
         summary.trace_events = self.telemetry.events_recorded();
-        Ok(summary)
+        summary
     }
 
     /// Epochs simulated so far.
@@ -684,18 +601,14 @@ impl FleetSim {
     }
 
     /// Attaches an overflow session from a peer shard onto the
-    /// least-utilized active node (lowest id on ties), waking it first
-    /// if the fast path had parked it. Called between epochs, after
-    /// every shard has stepped, so clocks are aligned at the boundary.
-    pub(crate) fn overflow_attach(
-        &mut self,
-        migrated: MigratedSession,
-    ) -> Result<usize, FleetError> {
+    /// least-utilized active node (lowest id on ties). Called between
+    /// epochs, after every shard has stepped, so clocks are aligned at
+    /// the boundary.
+    pub(crate) fn overflow_attach(&mut self, migrated: MigratedSession) -> usize {
         let target = self
             .least_utilized(None)
             .expect("pool never drains below one active node");
-        self.wake_node(target, self.epoch)?;
-        Ok(self.nodes[target].attach_session(migrated))
+        self.nodes[target].attach_session(migrated)
     }
 
     /// Consults the autoscaler (if installed) and executes its decision:
@@ -818,16 +731,12 @@ impl FleetSim {
     /// peer takes each, recomputed per session so consecutive placements
     /// see each other's load), then powers the node down.
     fn drain_and_retire(&mut self, victim: usize) -> Result<(), FleetError> {
-        // A dormant victim must account its skipped idle epochs before
-        // its clock stops for good (retired nodes are never settled).
-        self.wake_node(victim, self.epoch)?;
         let drained = self.nodes[victim].drain()?;
         for migrated in drained {
             let session = migrated.request.id;
             let target = self
                 .least_utilized(Some(victim))
                 .expect("pool never drains below one active node");
-            self.wake_node(target, self.epoch)?;
             self.nodes[target].attach_session(migrated);
             self.aggregate.record_drained_session();
             if self.telemetry.enabled() {
@@ -867,7 +776,7 @@ impl FleetSim {
     }
 
     /// Captures a fleet checkpoint when the policy's interval comes due:
-    /// every live session on every awake node, bit-exact, plus the
+    /// every live session on every active node, bit-exact, plus the
     /// knowledge store. Pure observation — session clocks, rngs and fp
     /// sequences are untouched, so capture never changes results.
     fn capture_checkpoint(&mut self) {
@@ -880,8 +789,8 @@ impl FleetSim {
         {
             return;
         }
-        // Parked and retired nodes hold no live sessions, so they drop
-        // out with the other empty captures.
+        // Idle and retired nodes hold no live sessions, so they drop out
+        // with the other empty captures.
         let nodes: Vec<NodeCheckpoint> = self
             .nodes
             .iter()
@@ -960,7 +869,6 @@ impl FleetSim {
         self.throttles.retain(|&(_, until)| until > self.epoch);
         for node in expired {
             if self.nodes[node].is_active() {
-                self.wake_node(node, self.epoch)?;
                 self.nodes[node].set_freq_cap(None);
                 self.telemetry.record(
                     self.epoch,
@@ -985,7 +893,6 @@ impl FleetSim {
                     && node < self.nodes.len()
                     && self.nodes[node].is_active() =>
                 {
-                    self.wake_node(node, self.epoch)?;
                     self.nodes[node].set_freq_cap(Some(freq_cap_ghz));
                     let until_epoch = self.epoch + duration_epochs.max(1);
                     self.throttles.push((node, until_epoch));
@@ -1030,8 +937,6 @@ impl FleetSim {
         {
             return Ok(());
         }
-        // A dormant victim settles its idle history before dying.
-        self.wake_node(victim, self.epoch)?;
         let lost = self.nodes[victim].crash_kill()?;
         self.throttles.retain(|&(node, _)| node != victim);
         self.telemetry.record_mark(
@@ -1063,7 +968,6 @@ impl FleetSim {
             let target = self
                 .least_utilized(None)
                 .expect("crash guard keeps at least one active node");
-            self.wake_node(target, self.epoch)?;
             let ck = covered.get(&request.id);
             let restored =
                 self.nodes[target].adopt_recovered(&request, ck.map(|c| c.bytes.as_slice()));
@@ -1136,15 +1040,15 @@ impl FleetSim {
     }
 
     /// Publishes the policies of sessions that finished during this
-    /// epoch's advance to the knowledge store, `awake` nodes in id order
-    /// (determinism). Parked and retired nodes did not advance, so they
-    /// have nothing new to publish.
-    fn harvest_knowledge(&self, awake: &[(usize, f64)]) {
+    /// epoch's advance to the knowledge store, `active` nodes in id order
+    /// (determinism). Retired nodes did not advance, so they have nothing
+    /// new to publish.
+    fn harvest_knowledge(&self, active: &[(usize, f64)]) {
         let Some(store) = &self.knowledge else {
             return;
         };
         let mut store = store.lock().expect("knowledge store poisoned");
-        for &(id, _) in awake {
+        for &(id, _) in active {
             self.nodes[id].harvest_finished(&mut store);
         }
     }
@@ -1179,11 +1083,6 @@ impl FleetSim {
             let Some(sid) = self.nodes[from].migration_candidate() else {
                 continue; // the donor drained during this epoch
             };
-            // Rebalance runs after this epoch's advance, so a dormant
-            // receiver replays through the *next* epoch's start to align
-            // clocks at the boundary. (A dormant donor never gets here:
-            // all its sessions finished, so it has no candidate.)
-            self.wake_node(to, self.epoch + 1)?;
             let migrated = self.nodes[from].detach_session(sid)?;
             let session = migrated.request.id;
             // No mid-flight publish here: the session keeps learning and
@@ -1263,7 +1162,6 @@ impl FleetSim {
                 DispatchDecision::Assign(id)
                     if id < self.nodes.len() && self.nodes[id].is_active() =>
                 {
-                    self.wake_node(id, self.epoch)?;
                     self.nodes[id].admit(&request);
                     self.telemetry.record(
                         self.epoch,
@@ -1311,60 +1209,70 @@ impl FleetSim {
         Ok(())
     }
 
-    /// Advances every *active* node to `boundary`, fanning nodes out over
-    /// scoped OS threads (retired nodes are powered off and stay where
-    /// their clocks stopped). Nodes are partitioned into contiguous
-    /// chunks; each worker advances its chunk sequentially, each node's
-    /// end-of-epoch prune included. Since nodes share nothing within an
-    /// epoch, the partition affects wall-clock time only. A node whose
-    /// advance panics (a misbehaving controller, say) is caught on its
-    /// worker and reported as [`FleetError::WorkerPanicked`]; the first
-    /// failure in node-id order wins, whatever the worker count.
+    /// Advances every *active* node to `boundary` (retired nodes are
+    /// powered off and stay where their clocks stopped). A node with no
+    /// live session ticks right here on the coordinator: its epoch is one
+    /// idle-power sensor record, cheaper than a hand-off. Nodes with live
+    /// sessions fan out over scoped OS threads in contiguous chunks, each
+    /// worker advancing its chunk sequentially (end-of-epoch prune
+    /// included); with none, no thread is spawned. Nodes share nothing
+    /// within an epoch, so where a node advances affects wall-clock time
+    /// only. A panicking advance (a misbehaving controller, say) is
+    /// reported as [`FleetError::WorkerPanicked`]; the first failure in
+    /// node-id order wins, whichever thread advanced the failing node.
     fn advance_nodes(&mut self, boundary: f64) -> Result<(), FleetError> {
-        let dormant = &self.dormant;
-        let mut active: Vec<&mut FleetNode> = self
-            .nodes
-            .iter_mut()
-            .filter(|n| n.is_active() && !dormant.contains_key(&n.id()))
-            .collect();
-        if active.is_empty() {
-            return Ok(());
-        }
-        let workers = self.config.worker_threads.clamp(1, active.len());
-        let chunk_len = active.len().div_ceil(workers);
         let max_events = self.config.max_events_per_epoch;
-        let failures: Vec<FleetError> = std::thread::scope(|scope| {
-            let handles: Vec<_> = active
-                .chunks_mut(chunk_len)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        let mut errs = Vec::new();
-                        for node in chunk {
-                            let id = node.id();
-                            let advance = std::panic::AssertUnwindSafe(|| {
-                                node.run_epoch(boundary, max_events)
-                            });
-                            match std::panic::catch_unwind(advance) {
-                                Ok(Ok(_)) => {}
-                                Ok(Err(source)) => errs.push(FleetError::Node { node: id, source }),
-                                Err(_) => errs.push(FleetError::WorkerPanicked { node: id }),
-                            }
-                        }
-                        errs
+        let mut failures = Vec::new();
+        let mut live: Vec<&mut FleetNode> = Vec::new();
+        for node in self.nodes.iter_mut().filter(|n| n.is_active()) {
+            if node.all_finished() {
+                failures.extend(advance_node(node, boundary, max_events));
+            } else {
+                live.push(node);
+            }
+        }
+        if !live.is_empty() {
+            let workers = self.config.worker_threads.clamp(1, live.len());
+            let chunk_len = live.len().div_ceil(workers);
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = live
+                    .chunks_mut(chunk_len)
+                    .map(|chunk| {
+                        scope.spawn(move || {
+                            chunk
+                                .iter_mut()
+                                .filter_map(|node| advance_node(node, boundary, max_events))
+                                .collect::<Vec<_>>()
+                        })
                     })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // Every node's advance is caught above, so a worker
-                // itself never unwinds.
-                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
-        match failures.into_iter().next() {
-            Some(failure) => Err(failure),
+                    .collect();
+                for handle in handles {
+                    // `advance_node` catches every panic: no worker unwinds.
+                    failures.extend(handle.join().unwrap_or_else(|p| resume_unwind(p)));
+                }
+            });
+        }
+        match failures.into_iter().min_by_key(|&(id, _)| id) {
+            Some((_, failure)) => Err(failure),
             None => Ok(()),
         }
+    }
+}
+
+/// Advances one node to `boundary` under `catch_unwind`, so a panicking
+/// controller surfaces as a typed error instead of unwinding the thread.
+/// Returns the failure, if any, with the node's id.
+fn advance_node(
+    node: &mut FleetNode,
+    boundary: f64,
+    max_events: u64,
+) -> Option<(usize, FleetError)> {
+    let id = node.id();
+    let advance = AssertUnwindSafe(|| node.run_epoch(boundary, max_events));
+    match catch_unwind(advance) {
+        Ok(Ok(_)) => None,
+        Ok(Err(source)) => Some((id, FleetError::Node { node: id, source })),
+        Err(_) => Some((id, FleetError::WorkerPanicked { node: id })),
     }
 }
 
@@ -1816,36 +1724,28 @@ mod tests {
         assert_eq!(store.lock().unwrap().publishes(), summary.total_sessions);
     }
 
-    #[test]
-    fn idle_fast_path_is_byte_identical_to_the_slow_path() {
-        // The elastic fleet exercises every wake point: dispatch admits
-        // onto parked nodes, the rebalancer attaches to them, shrink
-        // drains through them, and settle replays the stragglers.
-        let run = |fast: bool| {
-            let mut sim = elastic_fleet(2);
-            sim.config.idle_fast_path = fast;
-            sim.run().unwrap().to_string()
-        };
-        assert_eq!(run(true), run(false));
+    /// Drives `sim` the way the sharded coordinator does — `begin_run`,
+    /// `step_epoch` until drained, `finish_run` — calling `after_step`
+    /// after every epoch.
+    fn step_to_completion(
+        sim: &mut FleetSim,
+        mut after_step: impl FnMut(&FleetSim),
+    ) -> FleetSummary {
+        sim.begin_run().unwrap();
+        loop {
+            sim.step_epoch().unwrap();
+            after_step(sim);
+            if sim.is_drained() {
+                return sim.finish_run();
+            }
+        }
     }
 
     #[test]
-    fn step_driven_run_parks_idle_nodes_and_matches_run() {
-        // Four round-robin nodes, staggered finishes: early finishers
-        // must end up in the dormant set mid-run, and the step-by-step
+    fn step_driven_run_matches_run() {
+        // Four round-robin nodes, staggered finishes: the step-by-step
         // drive must reproduce `run()` exactly.
-        let mut sim = fleet(4, 1, Box::new(RoundRobin::new()));
-        sim.begin_run().unwrap();
-        let mut ever_dormant = 0usize;
-        loop {
-            sim.step_epoch().unwrap();
-            ever_dormant = ever_dormant.max(sim.dormant.len());
-            if sim.is_drained() {
-                break;
-            }
-        }
-        let stepped = sim.finish_run().unwrap();
-        assert!(ever_dormant > 0, "early finishers were never parked");
+        let stepped = step_to_completion(&mut fleet(4, 1, Box::new(RoundRobin::new())), |_| {});
         let whole = fleet(4, 1, Box::new(RoundRobin::new())).run().unwrap();
         assert_eq!(stepped, whole);
     }
@@ -2048,23 +1948,67 @@ mod tests {
         assert_eq!(summary.total_sessions, 8);
     }
 
+    /// Two crashes (recovered from checkpoints, replaced after the
+    /// delay) and a throttle in between.
+    fn crash_and_throttle_fleet(workers: usize) -> FleetSim {
+        let mut sim = chaos_fleet(workers);
+        sim.set_autoscaler(Box::new(HoldScaler), provisioner());
+        sim.set_checkpoint_policy(CheckpointPolicy::every(2));
+        sim.set_fault_plan(
+            FaultPlan::new()
+                .with_crash(3, 0)
+                .with_throttle(4, 2, 1.8, 3)
+                .with_crash(6, 1),
+        );
+        sim
+    }
+
     #[test]
     fn chaos_runs_are_deterministic_across_worker_counts() {
-        let run = |workers: usize| {
-            let mut sim = chaos_fleet(workers);
-            sim.set_autoscaler(Box::new(HoldScaler), provisioner());
-            sim.set_checkpoint_policy(CheckpointPolicy::every(2));
-            sim.set_fault_plan(
-                FaultPlan::new()
-                    .with_crash(3, 0)
-                    .with_throttle(4, 2, 1.8, 3)
-                    .with_crash(6, 1),
-            );
-            sim.run().unwrap().to_string()
-        };
+        let run = |workers| crash_and_throttle_fleet(workers).run().unwrap().to_string();
         let one = run(1);
         assert_eq!(one, run(2));
         assert_eq!(one, run(8));
+    }
+
+    #[test]
+    fn active_clocks_stay_on_the_epoch_boundary() {
+        // Every active node advances every epoch, so its clock sits on the
+        // boundary whenever admit, attach or recovery touches it: through
+        // staggered finishes, commissions, drains, rebalancing, crashes
+        // and a throttle.
+        let fleets = [
+            fleet(4, 1, Box::new(RoundRobin::new())),
+            elastic_fleet(2),
+            crash_and_throttle_fleet(2),
+        ];
+        for mut sim in fleets {
+            step_to_completion(&mut sim, |sim| {
+                let now = sim.epoch() as f64 * sim.config().epoch_s;
+                for node in sim.nodes().iter().filter(|n| n.is_active()) {
+                    assert_eq!(node.server().time(), now, "node {}", node.id());
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn the_lowest_failing_node_wins_whichever_thread_advanced_it() {
+        // A zero event budget fails every node in the first epoch: node 0
+        // holds the one session and advances on a worker, its idle peers
+        // on the coordinator, which reports theirs first.
+        let workload = Workload::replay(vec![burst_request(0, 0.0, false, 30)]);
+        let mut sim = FleetSim::new(
+            FleetConfig::default(),
+            Box::new(LeastLoaded::new()),
+            workload,
+        );
+        sim.config.max_events_per_epoch = 0;
+        for _ in 0..3 {
+            sim.add_node(fixed_factory());
+        }
+        let source = mamut_transcode::TranscodeError::EventBudgetExhausted { events: 0 };
+        assert_eq!(sim.run().unwrap_err(), FleetError::Node { node: 0, source });
     }
 
     /// A controller that panics when it reaches a fixed frame.

@@ -409,10 +409,8 @@ impl FleetAggregate {
         let agg = &mut self.nodes[node];
         // The tail ledgers want this epoch's increment, not the running
         // total; the previous totals are still in the aggregate, so the
-        // delta falls out before the overwrite. A dormant node replayed by
-        // the idle fast path reports frozen totals (delta 0) exactly like
-        // a live idle node reports unchanged ones, so the ledgers stay
-        // byte-identical with the fast path on or off.
+        // delta falls out before the overwrite. An idle node reports
+        // unchanged totals (delta 0) and adds no sample.
         let frames_delta = frames.saturating_sub(agg.frames);
         let violations_delta = violations.saturating_sub(agg.violations);
         let busy_delta = (duration_s - agg.duration_s).max(0.0);

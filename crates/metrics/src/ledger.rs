@@ -5,9 +5,8 @@
 //! The fleet layer feeds one sample per *productive* node-epoch (an epoch
 //! in which the node completed at least one frame): the epoch's QoS slack
 //! (share of frames that met their deadline) and its mean frame latency.
-//! Idle and dormant epochs contribute nothing, which keeps the ledger
-//! byte-identical whether the idle-node fast path replays a parked node
-//! or the node ticks through the epochs live.
+//! Idle epochs contribute nothing, so a node that sits idle between
+//! bursts adds no samples.
 
 use crate::PercentileTracker;
 

@@ -15,8 +15,8 @@
 //! * a single-shard configuration is byte-for-byte identical to the
 //!   plain unsharded `FleetSim` on the same trace;
 //! * the whole sharded stack — split, lockstep epochs, overflow,
-//!   knowledge sync, idle fast path — renders byte-identically across
-//!   fleet worker counts.
+//!   knowledge sync, idle nodes ticking on the coordinator — renders
+//!   byte-identically across fleet worker counts.
 //!
 //! Run with: `cargo run --release --example sharded_fleet`
 

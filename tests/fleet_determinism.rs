@@ -276,10 +276,10 @@ fn autoscaling_with_migration_and_knowledge_preserves_determinism() {
 
 /// The sharded coordinator over a full catalog scenario — regional
 /// workload split, per-shard elastic autoscaling, rebalancing, knowledge
-/// shards with periodic inter-shard sync, cross-shard overflow and the
-/// idle-node fast path — must stay byte-identical across worker counts:
-/// every cross-shard decision runs on the coordinator between epochs,
-/// and per-shard workers only advance independent nodes.
+/// shards with periodic inter-shard sync, cross-shard overflow and idle
+/// nodes ticking on the coordinator — must stay byte-identical across
+/// worker counts: every cross-shard decision runs on the coordinator
+/// between epochs, and per-shard workers only advance independent nodes.
 fn sharded_summary_text(workers: usize) -> String {
     let realized = mamut::scenario::catalog::regional_follow_the_sun()
         .realize()

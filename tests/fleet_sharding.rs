@@ -1,7 +1,7 @@
 //! Sharded-coordinator edge cases exercised through the public facade:
 //! cross-shard session overflow landing in a shard that is itself
-//! draining a node, the single-shard degenerate configuration, and the
-//! idle-node fast path all have to compose without changing the physics.
+//! draining a node and the single-shard degenerate configuration have to
+//! compose without changing the physics, at any worker count.
 
 use mamut::fleet::{Autoscaler, ScaleDecision, ScaleSignals, SessionRequest};
 use mamut::prelude::*;
@@ -48,12 +48,10 @@ impl Autoscaler for ShrinkOnce {
 
 /// Hot shard: one node buried under long HR sessions, utilization far
 /// above the overflow high watermark for many epochs.
-fn hot_shard(workers: usize, idle_fast_path: bool) -> FleetSim {
+fn hot_shard(workers: usize) -> FleetSim {
     let arrivals = (0..8).map(|i| request(i, 0.0, true, 600)).collect();
     let mut sim = FleetSim::new(
-        FleetConfig::default()
-            .with_worker_threads(workers)
-            .with_idle_fast_path(idle_fast_path),
+        FleetConfig::default().with_worker_threads(workers),
         Box::new(LeastLoaded::new()),
         Workload::replay(arrivals),
     );
@@ -64,12 +62,10 @@ fn hot_shard(workers: usize, idle_fast_path: bool) -> FleetSim {
 /// Cold shard: three lightly loaded nodes, with one retired mid-run
 /// while it still holds a live session — overflow from the hot shard
 /// keeps arriving during and after the drain.
-fn cold_shard(workers: usize, idle_fast_path: bool) -> FleetSim {
+fn cold_shard(workers: usize) -> FleetSim {
     let arrivals = (100..103).map(|i| request(i, 0.0, false, 400)).collect();
     let mut sim = FleetSim::new(
-        FleetConfig::default()
-            .with_worker_threads(workers)
-            .with_idle_fast_path(idle_fast_path),
+        FleetConfig::default().with_worker_threads(workers),
         Box::new(LeastLoaded::new()),
         Workload::replay(arrivals),
     );
@@ -86,17 +82,17 @@ fn cold_shard(workers: usize, idle_fast_path: bool) -> FleetSim {
     sim
 }
 
-fn run(workers: usize, idle_fast_path: bool) -> ShardedFleetSummary {
+fn run(workers: usize) -> ShardedFleetSummary {
     let mut sharded =
         ShardedFleetSim::new(ShardConfig::default().with_overflow_watermarks(0.5, 0.9));
-    sharded.add_shard("hot", hot_shard(workers, idle_fast_path));
-    sharded.add_shard("cold", cold_shard(workers, idle_fast_path));
+    sharded.add_shard("hot", hot_shard(workers));
+    sharded.add_shard("cold", cold_shard(workers));
     sharded.run().expect("sharded run completes")
 }
 
 #[test]
 fn overflow_lands_in_a_draining_shard_without_losing_work() {
-    let summary = run(2, true);
+    let summary = run(2);
     let (_, hot) = &summary.shards[0];
     let (_, cold) = &summary.shards[1];
 
@@ -129,22 +125,18 @@ fn overflow_lands_in_a_draining_shard_without_losing_work() {
 
 #[test]
 fn overflow_into_draining_shard_is_deterministic() {
-    let reference = run(1, true).to_string();
+    let reference = run(1).to_string();
     for workers in [2, 8] {
-        assert_eq!(reference, run(workers, true).to_string());
+        assert_eq!(reference, run(workers).to_string());
     }
-    // The idle-node fast path is an execution detail: skipping dormant
-    // nodes must not change a single byte, even with overflow waking
-    // parked nodes mid-run.
-    assert_eq!(reference, run(2, false).to_string());
 }
 
 #[test]
 fn single_shard_config_matches_the_unsharded_fleet() {
     let mut sharded = ShardedFleetSim::new(ShardConfig::default());
-    sharded.add_shard("only", hot_shard(2, true));
+    sharded.add_shard("only", hot_shard(2));
     let sharded_summary = sharded.run().expect("single-shard run completes");
-    let plain = hot_shard(2, true).run().expect("plain run completes");
+    let plain = hot_shard(2).run().expect("plain run completes");
     assert_eq!(sharded_summary.shards[0].1.to_string(), plain.to_string());
     assert_eq!(sharded_summary.inter_shard_migrations, 0);
     assert_eq!(sharded_summary.knowledge_syncs, 0);

@@ -137,26 +137,6 @@ fn tracing_off_matches_a_never_configured_run() {
 }
 
 #[test]
-fn idle_fast_path_does_not_change_the_trace() {
-    let trace_with = |fast_path| {
-        let mut fleet = FleetSim::new(
-            FleetConfig::default()
-                .with_worker_threads(2)
-                .with_idle_fast_path(fast_path),
-            Box::new(LeastLoaded::new()),
-            workload(17),
-        );
-        for _ in 0..3 {
-            fleet.add_node(factory());
-        }
-        fleet.set_telemetry(TelemetryMode::Full);
-        fleet.run().expect("run completes");
-        fleet.trace().encode()
-    };
-    assert_eq!(trace_with(true), trace_with(false));
-}
-
-#[test]
 fn a_chaos_trace_round_trips_and_conserves_events() {
     let mut fleet = chaos_fleet(2, Some(TelemetryMode::Full));
     let summary = fleet.run().expect("chaos run completes");
