@@ -590,6 +590,11 @@ fn merge_agent(old: &AgentSnapshot, new: &AgentSnapshot) -> Option<AgentSnapshot
 /// Wraps a controller factory so every session it builds is seeded from
 /// the store before its first frame. Cold starts happen transparently
 /// when the store has no compatible knowledge for the session's class.
+///
+/// Nodes build admitted sessions on the worker threads that advance
+/// them, so seeds take the store's mutex from several threads at once.
+/// That order cannot show in results: a seed only reads entries and
+/// bumps counters, and the fleet writes the store only between advances.
 pub fn warm_start_factory(
     store: SharedKnowledgeStore,
     base: ControllerFactory,

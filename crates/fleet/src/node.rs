@@ -5,8 +5,10 @@
 //! sessions placed here.
 
 use mamut_core::{Controller, KnobSettings};
-use mamut_platform::{Platform, SessionLoad};
-use mamut_transcode::{RunSummary, ServerSim, StreamShape, TranscodeError, TranscodeSession};
+use mamut_platform::{Platform, PowerTerm, SessionLoad};
+use mamut_transcode::{
+    RunSummary, ServerSim, StreamShape, TranscodeError, TranscodeSession, INITIAL_KNOBS,
+};
 
 use crate::dispatch::NodeView;
 use crate::error::FleetError;
@@ -46,6 +48,14 @@ impl std::fmt::Debug for MigratedSession {
 /// Boxed and `Send` so nodes can move to worker threads between epochs.
 /// Different nodes may use different factories — that is how a fleet
 /// mixes MAMUT nodes with baseline-controlled ones in one run.
+///
+/// [`FleetNode::admit`] does not call it: the node builds its admitted
+/// sessions at its next advance, on whichever worker thread advances it,
+/// in admission order. A factory therefore runs off the coordinator, and
+/// the controller it returns must depend only on the request and on
+/// state nothing writes during an advance (the knowledge store is
+/// written only between advances). A factory that panics fails the run
+/// with [`FleetError::WorkerPanicked`].
 pub type ControllerFactory = Box<dyn Fn(&SessionRequest) -> Box<dyn Controller> + Send>;
 
 /// Where a node stands in its lifecycle. A fixed-pool fleet keeps every
@@ -79,11 +89,25 @@ struct Resident {
     /// so a stream that suffered through a long-past burst does not read
     /// as distressed forever.
     mark: (u64, u64),
+    /// The session's power term at `knobs` under the throttle cap, kept
+    /// until either moves.
+    term: PowerTerm,
 }
 
 /// `(frames, violations)` a session has delivered so far.
 fn qos_of(session: &TranscodeSession) -> (u64, u64) {
     (session.qos().frames(), session.qos().violations())
+}
+
+/// The power term of a session at `knobs` under `server`'s throttle cap:
+/// the load [`ServerSim::load`] sees for it.
+fn term_at(server: &ServerSim, knobs: KnobSettings) -> PowerTerm {
+    let freq = server
+        .freq_cap_ghz()
+        .map_or(knobs.freq_ghz, |c| knobs.freq_ghz.min(c));
+    server
+        .platform()
+        .power_term(SessionLoad::new(knobs.threads, freq))
 }
 
 /// One server in the fleet.
@@ -92,6 +116,11 @@ fn qos_of(session: &TranscodeSession) -> (u64, u64) {
 /// counters next to it change only where that list changes — arrival,
 /// departure, a throttle change, and the prune at the end of each
 /// [`FleetNode::run_epoch`] — so a [`NodeView`] reads them in O(1).
+///
+/// Admission is bookkeeping: [`FleetNode::admit`] counts a session in
+/// at [`INITIAL_KNOBS`] and queues it, and the node builds its queued
+/// sessions at the top of its next [`FleetNode::run_epoch`], or first
+/// thing in any method that reads or moves sessions.
 pub struct FleetNode {
     id: usize,
     server: ServerSim,
@@ -101,12 +130,15 @@ pub struct FleetNode {
     /// Unfinished sessions, ascending session id (the server hands out
     /// ids in increasing order, so arrivals append).
     live: Vec<Resident>,
+    /// Admitted sessions not yet built on the server: the last `queued`
+    /// entries of `live`.
+    queued: usize,
     /// Σ planning-shape threads over `live`.
     planned_threads: u32,
     /// Σ knob threads over `live`.
     threads_demanded: u32,
-    /// Power draw of `live` at its knobs under the throttle cap — the
-    /// same loads, order and arithmetic as [`ServerSim::load`].
+    /// Power draw of `live`: its kept terms folded in session-id order,
+    /// bit-identical to [`ServerSim::load`] once the queue is built.
     power_w: f64,
     /// Σ `(frames, violations)` − mark over `live`: QoS of the epoch
     /// just simulated.
@@ -149,6 +181,7 @@ impl FleetNode {
             power_cap_w,
             state: NodeState::Active,
             live: Vec::new(),
+            queued: 0,
             planned_threads: 0,
             threads_demanded: 0,
             power_w,
@@ -223,7 +256,9 @@ impl FleetNode {
         self.server.align_clock(time)
     }
 
-    /// The underlying server simulator.
+    /// The underlying server simulator. Sessions admitted since the
+    /// node last advanced are not on it yet: it builds them at its next
+    /// [`FleetNode::run_epoch`].
     pub fn server(&self) -> &ServerSim {
         &self.server
     }
@@ -243,37 +278,69 @@ impl FleetNode {
         self.sessions_migrated_out
     }
 
-    /// Admits a session: builds its controller through the node's factory
-    /// and registers it with the server. Returns the session id.
+    /// Admits a session and returns the id the server will give it. The
+    /// session is counted in at [`INITIAL_KNOBS`], the knobs it runs
+    /// under until its controller's first decision, and queued: its
+    /// controller is built through the node's factory at the node's
+    /// next advance (see [`ControllerFactory`]).
     pub fn admit(&mut self, request: &SessionRequest) -> usize {
-        let controller = (self.factory)(request);
-        let sid = self
-            .server
-            .add_session(request.session_config(), controller);
-        self.track(sid, request.clone(), StreamShape::for_spec(&request.spec()));
+        let sid = self.server.next_session_id() + self.queued;
+        let shape = StreamShape::for_spec(&request.spec());
+        self.track(sid, request.clone(), shape, INITIAL_KNOBS, (0, 0));
+        self.queued += 1;
         self.sessions_admitted += 1;
         sid
     }
 
-    /// Appends the session the server just took to the live list and
-    /// counts it in. Its mark is its current QoS, so it adds nothing to
-    /// this epoch's QoS until it has been observed for a full epoch here.
-    fn track(&mut self, sid: usize, request: SessionRequest, shape: StreamShape) {
+    /// Builds the queued admissions on the server, in admission order.
+    /// Each leaves the queue once built, so a panicking factory leaves
+    /// the node consistent.
+    fn build_queued(&mut self) {
+        while self.queued > 0 {
+            let entry = &self.live[self.live.len() - self.queued];
+            let controller = (self.factory)(&entry.request);
+            let sid = self
+                .server
+                .add_session(entry.request.session_config(), controller);
+            debug_assert_eq!(sid, entry.sid, "queued ids follow the server's");
+            self.queued -= 1;
+        }
+    }
+
+    /// Registers the session the server just took: counted in at its
+    /// knobs and QoS (see [`FleetNode::track`]).
+    fn track_resident(&mut self, sid: usize, request: SessionRequest, shape: StreamShape) {
         let session = self
             .server
             .session(sid)
             .expect("the server just took this session");
         let (knobs, mark) = (session.knobs(), qos_of(session));
+        self.track(sid, request, shape, knobs, mark);
+    }
+
+    /// Appends a session to the live list and counts it in. Its mark is
+    /// its current QoS, so it adds nothing to this epoch's QoS until it
+    /// has been observed for a full epoch here.
+    fn track(
+        &mut self,
+        sid: usize,
+        request: SessionRequest,
+        shape: StreamShape,
+        knobs: KnobSettings,
+        mark: (u64, u64),
+    ) {
         self.planned_threads += shape.knobs.threads;
         self.threads_demanded += knobs.threads;
         self.lifetime_qos.0 += mark.0;
         self.lifetime_qos.1 += mark.1;
+        let term = term_at(&self.server, knobs);
         self.live.push(Resident {
             sid,
             request,
             shape,
             knobs,
             mark,
+            term,
         });
         self.update_power();
     }
@@ -290,16 +357,11 @@ impl FleetNode {
         self.lifetime_qos.1 -= violations;
     }
 
-    /// Recomputes the live sessions' power draw exactly as
-    /// [`ServerSim::load`] does: same sessions, same (session-id) order,
-    /// same throttle-capped frequencies, allocation-free.
+    /// Folds the live sessions' kept terms in session-id order: the
+    /// power [`ServerSim::load`] computes from scratch, bit for bit.
     fn update_power(&mut self) {
-        let cap = self.server.freq_cap_ghz();
-        let loads = self.live.iter().map(|entry| {
-            let freq = entry.knobs.freq_ghz;
-            SessionLoad::new(entry.knobs.threads, cap.map_or(freq, |c| freq.min(c)))
-        });
-        self.power_w = self.server.platform().power_draw_for(loads);
+        let terms = self.live.iter().map(|entry| entry.term);
+        self.power_w = self.server.platform().power_of_terms(terms);
     }
 
     /// A view over the maintained counters with the given shapes.
@@ -359,7 +421,8 @@ impl FleetNode {
     /// Picks the session a rebalancer would move away from this node:
     /// the live session with the most frames still to transcode (most
     /// benefit from a less-loaded home), lowest id on ties.
-    pub fn migration_candidate(&self) -> Option<usize> {
+    pub fn migration_candidate(&mut self) -> Option<usize> {
+        self.build_queued();
         self.live
             .iter()
             .filter_map(|entry| self.server.session(entry.sid).ok())
@@ -375,6 +438,7 @@ impl FleetNode {
     /// [`FleetError::UnknownSession`] if the node has no such live
     /// session.
     pub fn detach_session(&mut self, sid: usize) -> Result<MigratedSession, FleetError> {
+        self.build_queued();
         let unknown = FleetError::UnknownSession {
             node: self.id,
             session: sid,
@@ -398,6 +462,7 @@ impl FleetNode {
     /// Detaches every live session from the server, in session-id order,
     /// leaving the live list empty.
     fn detach_all(&mut self) -> Result<Vec<(Resident, TranscodeSession)>, FleetError> {
+        self.build_queued();
         let live = std::mem::take(&mut self.live);
         let mut out = Vec::with_capacity(live.len());
         for entry in live {
@@ -441,8 +506,9 @@ impl FleetNode {
             shape,
             request,
         } = migrated;
+        self.build_queued();
         let sid = self.server.attach_session(session);
-        self.track(sid, request, shape);
+        self.track_resident(sid, request, shape);
         self.sessions_migrated_in += 1;
         sid
     }
@@ -451,7 +517,8 @@ impl FleetNode {
     /// session-id order. Pure observation — the node's state, clocks and
     /// fp sequences are untouched, so a checkpointed run stays
     /// byte-identical to an uncheckpointed one.
-    pub(crate) fn checkpoint_sessions(&self) -> Vec<SessionCheckpoint> {
+    pub(crate) fn checkpoint_sessions(&mut self) -> Vec<SessionCheckpoint> {
+        self.build_queued();
         self.live
             .iter()
             .filter_map(|entry| {
@@ -475,6 +542,7 @@ impl FleetNode {
         request: &SessionRequest,
         checkpoint: Option<&[u8]>,
     ) -> bool {
+        self.build_queued();
         let restored = checkpoint.and_then(|bytes| {
             let controller = (self.factory)(request);
             TranscodeSession::restore_checkpoint(request.session_config(), controller, bytes).ok()
@@ -490,14 +558,20 @@ impl FleetNode {
                     .add_session(request.session_config(), controller)
             }
         };
-        self.track(sid, request.clone(), StreamShape::for_spec(&request.spec()));
+        self.track_resident(sid, request.clone(), StreamShape::for_spec(&request.spec()));
         from_checkpoint
     }
 
     /// Applies (or lifts, with `None`) a thermal-throttle frequency cap
     /// on the node's server.
     pub(crate) fn set_freq_cap(&mut self, cap_ghz: Option<f64>) {
+        if self.server.freq_cap_ghz() == cap_ghz {
+            return;
+        }
         self.server.set_freq_cap(cap_ghz);
+        for entry in &mut self.live {
+            entry.term = term_at(&self.server, entry.knobs);
+        }
         self.update_power();
     }
 
@@ -517,15 +591,17 @@ impl FleetNode {
         published
     }
 
-    /// Advances the node's virtual clock to `until`, then prunes the
-    /// sessions that finished on the way and recounts the live ones: the
-    /// next [`FleetNode::view`] reports this epoch's QoS, the knobs the
-    /// controllers settled on, and no finished session.
+    /// Builds the queued admissions, advances the node's virtual clock to
+    /// `until`, then prunes the sessions that finished on the way and
+    /// recounts the live ones: the next [`FleetNode::view`] reports this
+    /// epoch's QoS, the knobs the controllers settled on, and no
+    /// finished session.
     ///
     /// # Errors
     ///
     /// Propagates [`TranscodeError::EventBudgetExhausted`] from the server.
     pub fn run_epoch(&mut self, until: f64, max_events: u64) -> Result<u64, TranscodeError> {
+        self.build_queued();
         self.finished.clear();
         for entry in &mut self.live {
             if let Ok(session) = self.server.session(entry.sid) {
@@ -554,7 +630,11 @@ impl FleetNode {
                 finished.push((entry.sid, entry.request.id, frames));
                 return false;
             }
-            entry.knobs = session.knobs();
+            let knobs = session.knobs();
+            if knobs != entry.knobs {
+                entry.term = term_at(server, knobs);
+                entry.knobs = knobs;
+            }
             planned += entry.shape.knobs.threads;
             demanded += entry.knobs.threads;
             epoch.0 += delta.0;
@@ -567,12 +647,14 @@ impl FleetNode {
         self.update_power();
     }
 
-    /// Whether every admitted session has finished.
+    /// Whether every admitted session has finished. A queued admission
+    /// counts as unfinished.
     pub fn all_finished(&self) -> bool {
-        self.server.all_finished()
+        self.queued == 0 && self.server.all_finished()
     }
 
-    /// Per-session results measured so far.
+    /// Per-session results measured so far (queued admissions are not
+    /// on the server yet).
     pub fn summary(&self) -> RunSummary {
         self.server.summary()
     }
@@ -786,15 +868,37 @@ mod tests {
     }
 
     /// Compares the maintained view and totals with a from-scratch
-    /// reference: the server's own load, folds over its sessions, and
-    /// planning shapes rebuilt from the model's requests.
+    /// reference: the uncached power draw of the server's unfinished
+    /// sessions plus the queued admissions at [`INITIAL_KNOBS`] (session-id
+    /// order), folds over the server's sessions, and planning shapes
+    /// rebuilt from the model's requests.
     fn assert_view_matches(n: &FleetNode, model: &Model, step: &str) {
         let view = n.view();
-        let load = n.server().load();
-        assert_eq!(view.active_sessions, load.active_sessions, "{step}");
-        assert_eq!(view.threads_demanded, load.threads_demanded, "{step}");
-        assert_eq!(view.power_w.to_bits(), load.power_w.to_bits(), "{step}");
-        assert_eq!(view.hw_threads, load.hw_threads, "{step}");
+        let server = n.server();
+        let queued = model
+            .live
+            .keys()
+            .filter(|&&sid| sid >= server.next_session_id())
+            .count();
+        let cap = server.freq_cap_ghz();
+        let loads: Vec<SessionLoad> = server
+            .sessions()
+            .iter()
+            .filter(|s| !s.is_finished())
+            .map(|s| s.knobs())
+            .chain(std::iter::repeat_n(INITIAL_KNOBS, queued))
+            .map(|k| SessionLoad::new(k.threads, cap.map_or(k.freq_ghz, |c| k.freq_ghz.min(c))))
+            .collect();
+        let power_w = server.platform().power_draw(&loads);
+        let threads: u32 = loads.iter().map(|l| l.threads).sum();
+        assert_eq!(view.active_sessions, loads.len(), "{step}");
+        assert_eq!(view.threads_demanded, threads, "{step}");
+        assert_eq!(view.power_w.to_bits(), power_w.to_bits(), "{step}");
+        assert_eq!(
+            view.hw_threads,
+            server.platform().topology().hw_threads(),
+            "{step}"
+        );
 
         let shapes: Vec<StreamShape> = model
             .live
@@ -806,14 +910,11 @@ mod tests {
         assert_eq!(view.planned_threads, planned, "{step}");
 
         // A session without a mark arrived after the last epoch began:
-        // it adds nothing yet.
+        // it adds nothing yet. A queued session has delivered nothing.
         let (frames, violations) = model.live.keys().fold((0u64, 0u64), |(f, v), sid| {
-            let s = n
-                .server()
-                .session(*sid)
-                .expect("model sessions are resident");
-            let (f0, v0) = model.marks.get(sid).copied().unwrap_or(qos_of(s));
-            (f + s.qos().frames() - f0, v + s.qos().violations() - v0)
+            let (f1, v1) = server.session(*sid).map_or((0, 0), qos_of);
+            let (f0, v0) = model.marks.get(sid).copied().unwrap_or((f1, v1));
+            (f + f1 - f0, v + v1 - v0)
         });
         let percent = if frames == 0 {
             0.0
@@ -871,7 +972,7 @@ mod tests {
                             m.marks = m
                                 .live
                                 .keys()
-                                .map(|&sid| (sid, qos_of(n.server().session(sid).unwrap())))
+                                .map(|&sid| (sid, n.server().session(sid).map_or((0, 0), qos_of)))
                                 .collect();
                             n.run_epoch(now, 1_000_000).unwrap();
                             let ended: Vec<(usize, u64, u64)> = m
@@ -934,5 +1035,23 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn queued_admissions_are_unfinished_and_build_without_changing_the_view() {
+        let mut n = FleetNode::new(0, Platform::xeon_e5_2667_v4(), 110.0, mamut_factory());
+        n.set_freq_cap(Some(2.0));
+        let sids: Vec<usize> = (1..=3)
+            .map(|id| n.admit(&request(id, id != 2, 200)))
+            .collect();
+        assert_eq!(sids, [0, 1, 2]);
+        assert_eq!(n.server().next_session_id(), 0, "admission builds nothing");
+        assert!(!n.all_finished(), "queued admissions are unfinished");
+        let before = n.view();
+        assert_eq!(before.active_sessions, 3);
+        assert_eq!(n.migration_candidate(), Some(0));
+        assert_eq!(n.server().sessions().len(), 3);
+        assert!(!n.all_finished());
+        assert_eq!(format!("{before:?}"), format!("{:?}", n.view()));
     }
 }

@@ -413,6 +413,12 @@ impl FleetSim {
                 self.config.epoch_s
             )));
         }
+        if let Some(r) = self.pending.iter().find(|r| !r.arrival_s.is_finite()) {
+            return Err(FleetError::InvalidConfig(format!(
+                "session {} arrives at non-finite time {}",
+                r.id, r.arrival_s
+            )));
+        }
         self.aggregate = FleetAggregate::new(self.nodes.len());
         self.seeds_at_start = self.seeds_served();
         self.checkpoint = None;
@@ -591,7 +597,7 @@ impl FleetSim {
     pub(crate) fn overflow_detach(&mut self) -> Result<Option<MigratedSession>, FleetError> {
         let donor = self
             .nodes
-            .iter()
+            .iter_mut()
             .filter(|n| n.is_active())
             .filter_map(|n| Some((n.id(), n.utilization(), n.migration_candidate()?)))
             .min_by(|a, b| cmp_utilization(b.1, a.1).then(a.0.cmp(&b.0)));
@@ -793,7 +799,7 @@ impl FleetSim {
         // with the other empty captures.
         let nodes: Vec<NodeCheckpoint> = self
             .nodes
-            .iter()
+            .iter_mut()
             .map(|n| NodeCheckpoint {
                 node: n.id(),
                 sessions: n.checkpoint_sessions(),
@@ -2078,6 +2084,55 @@ mod tests {
                 "{workers} workers"
             );
             assert!(sim.flight_dump().is_some(), "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn a_panicking_factory_fails_the_run_with_a_typed_error_and_a_flight_dump() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for workers in [1, 2] {
+            let mut sim = FleetSim::new(
+                FleetConfig::default().with_worker_threads(workers),
+                Box::new(RoundRobin::new()),
+                small_workload(11),
+            );
+            sim.add_node(fixed_factory());
+            let (calls, cold) = (AtomicUsize::new(0), fixed_factory());
+            sim.add_node(Box::new(move |req| {
+                let call = calls.fetch_add(1, Ordering::Relaxed) + 1;
+                assert!(call != 2, "factory blew up on call {call}");
+                cold(req)
+            }));
+            sim.add_node(fixed_factory());
+            sim.set_telemetry(TelemetryMode::FlightRecorder { epochs: 4 });
+            assert_eq!(
+                sim.run().unwrap_err(),
+                FleetError::WorkerPanicked { node: 1 },
+                "{workers} workers"
+            );
+            assert!(sim.flight_dump().is_some(), "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn non_finite_arrival_times_are_rejected_before_epoch_zero() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let workload = Workload::replay(vec![
+                burst_request(0, 1.0, false, 30),
+                burst_request(1, bad, true, 30),
+                burst_request(2, 0.5, false, 30),
+            ]);
+            let mut sim = FleetSim::new(
+                FleetConfig::default(),
+                Box::new(RoundRobin::new()),
+                workload,
+            );
+            sim.add_node(fixed_factory());
+            assert!(
+                matches!(sim.run().unwrap_err(), FleetError::InvalidConfig(_)),
+                "arrival at {bad}"
+            );
+            assert_eq!(sim.epoch(), 0, "arrival at {bad}: no epoch ran");
         }
     }
 

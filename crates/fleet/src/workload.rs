@@ -264,13 +264,12 @@ impl Workload {
     /// Wraps an explicit arrival trace (sorted by arrival time; ties keep
     /// their given order). This is the replay path: captured production
     /// traces or hand-built worst cases run through the same dispatcher
-    /// and fleet loop as generated workloads.
+    /// and fleet loop as generated workloads. A non-finite arrival time
+    /// sorts to an end of the trace here; a fleet run rejects it with
+    /// [`FleetError::InvalidConfig`](crate::FleetError::InvalidConfig)
+    /// before its first epoch.
     pub fn replay(mut arrivals: Vec<SessionRequest>) -> Workload {
-        arrivals.sort_by(|a, b| {
-            a.arrival_s
-                .partial_cmp(&b.arrival_s)
-                .expect("arrival times are not NaN")
-        });
+        arrivals.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s));
         Workload { arrivals }
     }
 

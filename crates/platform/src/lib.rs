@@ -47,6 +47,6 @@ pub use contention::ContentionModel;
 pub use dvfs::{DvfsLevel, DvfsTable};
 pub use error::PlatformError;
 pub use platform::{Platform, SessionLoad};
-pub use power::PowerModel;
+pub use power::{PowerModel, PowerTerm};
 pub use sensor::PowerSensor;
 pub use topology::CpuTopology;

@@ -1,5 +1,4 @@
-use crate::power::ThreadGroup;
-use crate::{ContentionModel, CpuTopology, DvfsTable, PowerModel};
+use crate::{ContentionModel, CpuTopology, DvfsTable, PowerModel, PowerTerm};
 
 /// The CPU demand of one transcoding session: threads at a frequency.
 ///
@@ -97,22 +96,49 @@ impl Platform {
     }
 
     /// [`Platform::power_draw`] over any re-iterable load source, without
-    /// materializing a slice — the allocation-free lookup the simulator's
-    /// event engine evaluates once per rate epoch. Iteration order is the
-    /// summation order, so the same loads in the same order produce
-    /// bit-identical watts through either entry point.
+    /// materializing a slice. Iteration order is the summation order, so
+    /// the same loads in the same order produce bit-identical watts
+    /// through either entry point.
     pub fn power_draw_for<I>(&self, loads: I) -> f64
     where
         I: Iterator<Item = SessionLoad> + Clone,
     {
-        let dvfs = &self.dvfs;
-        self.power.power_for(
-            loads.map(|l| ThreadGroup {
-                threads: l.threads,
-                freq_ghz: dvfs.nearest(l.freq_ghz).freq_ghz,
-            }),
-            dvfs,
-        )
+        self.power_of_terms(loads.map(|l| self.power_term(l)))
+    }
+
+    /// One session's input to the power fold: its threads, its frequency
+    /// snapped to the DVFS table, and the voltage at that frequency. A
+    /// term depends only on the load, so a caller may keep it while the
+    /// session's knobs and the frequency cap hold, and fold the kept
+    /// terms with [`Platform::power_of_terms`] instead of repeating both
+    /// table lookups.
+    ///
+    /// ```
+    /// use mamut_platform::{Platform, SessionLoad};
+    ///
+    /// let p = Platform::xeon_e5_2667_v4();
+    /// let loads = [SessionLoad::new(10, 2.59), SessionLoad::new(4, 3.2)];
+    /// let term = p.power_term(loads[0]);
+    /// assert_eq!((term.threads, term.freq_ghz), (10, 2.6));
+    /// let cached = p.power_of_terms(loads.iter().map(|&l| p.power_term(l)));
+    /// assert_eq!(cached.to_bits(), p.power_draw(&loads).to_bits());
+    /// ```
+    pub fn power_term(&self, load: SessionLoad) -> PowerTerm {
+        let freq_ghz = self.dvfs.nearest(load.freq_ghz).freq_ghz;
+        PowerTerm {
+            threads: load.threads,
+            freq_ghz,
+            voltage_v: self.dvfs.voltage_at(freq_ghz),
+        }
+    }
+
+    /// Server power for sessions given as [`Platform::power_term`]s, in
+    /// summation order: the fold behind [`Platform::power_draw`].
+    pub fn power_of_terms<I>(&self, terms: I) -> f64
+    where
+        I: Iterator<Item = PowerTerm> + Clone,
+    {
+        self.power.power_of_terms(terms, &self.dvfs)
     }
 
     /// Idle power of the server (no sessions running).

@@ -9,6 +9,23 @@ pub struct ThreadGroup {
     pub freq_ghz: f64,
 }
 
+/// One session's input to the power fold with its DVFS lookups done:
+/// the thread count, the table frequency its cores run at, and the core
+/// voltage at that frequency. [`Platform::power_term`] builds one from a
+/// session's knobs; a caller that keeps the term while the knobs hold
+/// skips both table lookups on every later fold.
+///
+/// [`Platform::power_term`]: crate::Platform::power_term
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PowerTerm {
+    /// Number of software threads the session runs.
+    pub threads: u32,
+    /// Frequency its cores run at (GHz).
+    pub freq_ghz: f64,
+    /// Core voltage at `freq_ghz` (V).
+    pub voltage_v: f64,
+}
+
 /// Analytic server power model calibrated to the paper's observations.
 ///
 /// ```text
@@ -113,17 +130,38 @@ impl PowerModel {
         self.power_for(groups.iter().copied(), dvfs)
     }
 
-    /// [`PowerModel::power`] over any re-iterable group source — the
-    /// allocation-free entry the simulator's hot path uses (it evaluates
-    /// power straight off its session table instead of materializing a
-    /// `Vec<ThreadGroup>` per event). The iterator is walked three times
-    /// (thread total, per-group core power, fastest clock); the summation
-    /// order matches the slice form, so both produce bit-identical watts.
+    /// [`PowerModel::power`] over any re-iterable group source, without
+    /// materializing a `Vec<ThreadGroup>`. Each group becomes a
+    /// [`PowerTerm`] at its own frequency and goes through
+    /// [`PowerModel::power_of_terms`], so both entry points produce
+    /// bit-identical watts.
     pub fn power_for<I>(&self, groups: I, dvfs: &DvfsTable) -> f64
     where
         I: Iterator<Item = ThreadGroup> + Clone,
     {
-        let total_requested: u32 = groups.clone().map(|g| g.threads).sum();
+        self.power_of_terms(
+            groups.map(|g| PowerTerm {
+                threads: g.threads,
+                freq_ghz: g.freq_ghz,
+                voltage_v: dvfs.voltage_at(g.freq_ghz),
+            }),
+            dvfs,
+        )
+    }
+
+    /// The power fold every entry point shares. It reads only the terms
+    /// and the table's frequency range, and walks the terms twice: once
+    /// for the thread total and fastest clock, once for the per-session
+    /// core power. Iteration order is the summation order, so the same
+    /// terms in the same order always produce bit-identical watts.
+    pub fn power_of_terms<I>(&self, terms: I, dvfs: &DvfsTable) -> f64
+    where
+        I: Iterator<Item = PowerTerm> + Clone,
+    {
+        let (total_requested, f_max) =
+            terms.clone().fold((0u32, 0.0_f64), |(threads, f_max), t| {
+                (threads + t.threads, f_max.max(t.freq_ghz))
+            });
         if total_requested == 0 {
             return self.idle_power();
         }
@@ -137,11 +175,10 @@ impl PowerModel {
         let eff_total = primary + self.smt_power_factor * smt;
         let attribution = eff_total / f64::from(total_requested);
 
-        let core_power: f64 = groups
-            .clone()
-            .map(|g| {
-                let v = dvfs.voltage_at(g.freq_ghz);
-                f64::from(g.threads) * attribution * self.c_eff * v * v * g.freq_ghz
+        let core_power: f64 = terms
+            .map(|t| {
+                let v = t.voltage_v;
+                f64::from(t.threads) * attribution * self.c_eff * v * v * t.freq_ghz
             })
             .sum();
 
@@ -149,11 +186,7 @@ impl PowerModel {
         let per_socket = self.topology.hw_threads_per_socket().max(1);
         let active_sockets = runnable.div_ceil(per_socket).min(self.topology.sockets());
         let idle_sockets = self.topology.sockets() - active_sockets;
-        let f_max = groups
-            .map(|g| g.freq_ghz)
-            .fold(0.0_f64, f64::max)
-            .max(dvfs.min_freq_ghz());
-        let rel = f_max / dvfs.max_freq_ghz();
+        let rel = f_max.max(dvfs.min_freq_ghz()) / dvfs.max_freq_ghz();
         let uncore = f64::from(active_sockets)
             * (self.uncore_base_w + self.uncore_dyn_w * rel.powi(3))
             + f64::from(idle_sockets) * self.uncore_idle_w;

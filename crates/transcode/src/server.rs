@@ -1,5 +1,5 @@
 use mamut_core::{Constraints, Controller};
-use mamut_platform::{Platform, PowerSensor, SessionLoad};
+use mamut_platform::{Platform, PowerSensor, PowerTerm, SessionLoad};
 
 use crate::{RunSummary, SessionConfig, TranscodeError, TranscodeSession};
 
@@ -176,6 +176,11 @@ struct HotState {
     threads: Vec<u32>,
     /// Per-slot frequency knob the cached rate was derived from.
     freq: Vec<f64>,
+    /// Per-slot `(DVFS-snapped GHz, voltage)` of `freq` under the
+    /// frequency cap: the session's power term and the clock of its rate.
+    /// Valid while `freq` holds and the cap does not move; a NaN GHz
+    /// marks it stale. The oracle never reads or writes it.
+    term: Vec<(f64, f64)>,
     /// Per-slot CTU row count the cached WPP factor was derived from
     /// (changes when a playlist advances across resolutions).
     ctu_rows: Vec<u32>,
@@ -200,6 +205,7 @@ impl HotState {
         self.deadline.push(f64::NAN);
         self.threads.push(0);
         self.freq.push(0.0);
+        self.term.push((f64::NAN, 0.0));
         self.ctu_rows.push(0);
     }
 
@@ -382,6 +388,13 @@ impl ServerSim {
         self.hot.rate_epochs
     }
 
+    /// The id the next [`ServerSim::add_session`] or
+    /// [`ServerSim::attach_session`] will assign. Ids are slot indices,
+    /// handed out in increasing order and never reused.
+    pub fn next_session_id(&self) -> usize {
+        self.sessions.len()
+    }
+
     /// Adds a session; returns its id.
     pub fn add_session(&mut self, config: SessionConfig, controller: Box<dyn Controller>) -> usize {
         let id = self.sessions.len();
@@ -536,6 +549,9 @@ impl ServerSim {
     pub fn set_freq_cap(&mut self, cap_ghz: Option<f64>) {
         if self.freq_cap_ghz != cap_ghz {
             self.freq_cap_ghz = cap_ghz;
+            for term in &mut self.hot.term {
+                term.0 = f64::NAN;
+            }
             self.hot.dirty = true;
         }
     }
@@ -693,32 +709,55 @@ impl ServerSim {
         }
 
         // 2. Active set + aggregates (id order = float summation order).
-        self.hot.active.clear();
+        //    The engine refreshes the power term of every session whose
+        //    frequency knob moved (or whose term a cap change staled) and
+        //    folds the kept terms; the oracle folds from scratch.
+        let (naive, platform, hot) = (self.naive, &self.platform, &mut self.hot);
+        hot.active.clear();
         let mut total: u32 = 0;
         for (id, slot) in self.sessions.iter().enumerate() {
             let Some(s) = slot.get() else { continue };
             if s.in_flight.is_some() {
-                self.hot.active.push(id as u32);
-                total += s.knobs().threads;
+                let k = s.knobs();
+                hot.active.push(id as u32);
+                total += k.threads;
+                if !naive
+                    && (hot.term[id].0.is_nan() || hot.freq[id].to_bits() != k.freq_ghz.to_bits())
+                {
+                    let term = platform.power_term(SessionLoad::new(k.threads, eff(k.freq_ghz)));
+                    hot.term[id] = (term.freq_ghz, term.voltage_v);
+                }
+                hot.threads[id] = k.threads;
+                hot.freq[id] = k.freq_ghz;
             }
         }
-        self.hot.total_threads = total;
-        if self.hot.active.is_empty() {
-            self.hot.rebuild_heap(); // empties the queue
-            self.hot.dirty = false;
+        hot.total_threads = total;
+        if hot.active.is_empty() {
+            hot.rebuild_heap(); // empties the queue
+            hot.dirty = false;
             return;
         }
-        self.hot.scale = self.platform.throughput_scale(total);
-        let sessions = &self.sessions;
-        self.hot.power = self
-            .platform
-            .power_draw_for(self.hot.active.iter().map(|&id| {
-                let k = sessions[id as usize]
-                    .get()
-                    .expect("active slot is occupied")
-                    .knobs();
+        hot.scale = platform.throughput_scale(total);
+        hot.power = if naive {
+            let sessions = &self.sessions;
+            let loads = hot.active.iter().map(|&id| {
+                let slot = &sessions[id as usize];
+                let k = slot.get().expect("active slot is occupied").knobs();
                 SessionLoad::new(k.threads, eff(k.freq_ghz))
-            }));
+            });
+            platform.power_draw_for(loads)
+        } else {
+            let terms = hot.active.iter().map(|&id| {
+                let (freq_ghz, voltage_v) = hot.term[id as usize];
+                let threads = hot.threads[id as usize];
+                PowerTerm {
+                    threads,
+                    freq_ghz,
+                    voltage_v,
+                }
+            });
+            platform.power_of_terms(terms)
+        };
 
         // 3. Per-session rates; re-anchor only on a real change.
         for idx in 0..self.hot.active.len() {
@@ -726,12 +765,16 @@ impl ServerSim {
             let s = self.sessions[id]
                 .get_mut()
                 .expect("active slot is occupied");
-            let k = s.knobs();
             let rows = s.resolution().ctu_rows();
-            let level = self.platform.dvfs().nearest(eff(k.freq_ghz));
-            let r_new = level.freq_ghz * 1e9 * s.wpp_speedup() * self.hot.scale;
-            self.hot.threads[id] = k.threads;
-            self.hot.freq[id] = k.freq_ghz;
+            let ghz = if self.naive {
+                self.platform
+                    .dvfs()
+                    .nearest(eff(s.knobs().freq_ghz))
+                    .freq_ghz
+            } else {
+                self.hot.term[id].0
+            };
+            let r_new = ghz * 1e9 * s.wpp_speedup() * self.hot.scale;
             self.hot.ctu_rows[id] = rows;
             let r_old = self.hot.rate[id];
             if r_new.to_bits() != r_old.to_bits() || self.hot.deadline[id].is_nan() {

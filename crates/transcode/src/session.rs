@@ -11,6 +11,14 @@ use mamut_video::{ContentState, Playlist, Resolution, SequenceSpec, SourceState,
 /// Current session-checkpoint codec version. Decoders reject newer.
 pub const SESSION_CHECKPOINT_VERSION: u16 = 1;
 
+/// Knobs a new session runs under until its controller's first decision:
+/// what a fleet node counts for a session it has admitted but not built.
+pub const INITIAL_KNOBS: KnobSettings = KnobSettings {
+    qp: 32,
+    threads: 4,
+    freq_ghz: 2.6,
+};
+
 /// Static configuration of one transcoding session (one user).
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
@@ -157,7 +165,7 @@ impl TranscodeSession {
             decoder: HevcDecoder::new(resolution),
             source,
             controller,
-            knobs: KnobSettings::new(32, 4, 2.6),
+            knobs: INITIAL_KNOBS,
             frame_counter: 0,
             in_flight: None,
             completions: VecDeque::with_capacity(config.fps_window + 1),

@@ -1,10 +1,28 @@
 //! Sharded-coordinator edge cases exercised through the public facade:
 //! cross-shard session overflow landing in a shard that is itself
 //! draining a node and the single-shard degenerate configuration have to
-//! compose without changing the physics, at any worker count.
+//! compose without changing the physics, at any worker count. CI
+//! executes this file in the same 1/2/8-worker `MAMUT_FLEET_WORKERS`
+//! matrix as `fleet_determinism.rs`.
 
 use mamut::fleet::{Autoscaler, ScaleDecision, ScaleSignals, SessionRequest};
 use mamut::prelude::*;
+
+/// Worker counts to compare against the sequential reference: the
+/// `MAMUT_FLEET_WORKERS` env list when present, `default` otherwise.
+fn worker_counts(default: &[usize]) -> Vec<usize> {
+    match std::env::var("MAMUT_FLEET_WORKERS") {
+        Ok(list) => list
+            .split(',')
+            .map(|w| {
+                w.trim()
+                    .parse()
+                    .unwrap_or_else(|_| panic!("bad MAMUT_FLEET_WORKERS entry {w:?}"))
+            })
+            .collect(),
+        Err(_) => default.to_vec(),
+    }
+}
 
 fn factory() -> mamut::fleet::ControllerFactory {
     Box::new(|req| {
@@ -126,8 +144,12 @@ fn overflow_lands_in_a_draining_shard_without_losing_work() {
 #[test]
 fn overflow_into_draining_shard_is_deterministic() {
     let reference = run(1).to_string();
-    for workers in [2, 8] {
-        assert_eq!(reference, run(workers).to_string());
+    for workers in worker_counts(&[2, 8]) {
+        assert_eq!(
+            reference,
+            run(workers).to_string(),
+            "diverged at {workers} workers"
+        );
     }
 }
 

@@ -6,8 +6,9 @@
 //! minimum — no cache survives an event. The incremental engine may only
 //! skip work its rate-epoch bookkeeping proves unchanged, so any missed
 //! invalidation (a knob edit, a playlist resolution switch, a constraint
-//! change, a migration, a boundary hit), stale aggregate, or
-//! heap-vs-scan disagreement shows up here as a bit-level divergence.
+//! change, a migration, a boundary hit, a frequency cap set or lifted),
+//! stale aggregate or power term, or heap-vs-scan disagreement shows up
+//! here as a bit-level divergence.
 //! Both modes share the anchored-work event semantics; the physics of
 //! that arithmetic are pinned separately by the hand-computation,
 //! epoch-slicing, migration and materialization tests in
@@ -30,6 +31,10 @@ struct Scenario {
     constraint_epoch: u64,
     /// Epoch index at which one live session migrates to a second server.
     migrate_epoch: u64,
+    /// Epoch index at which server A is throttled to 2.0 GHz.
+    throttle_epoch: u64,
+    /// Epochs the throttle stays on before it lifts.
+    throttle_epochs: u64,
     /// Lead-in frames driven through `run_frames` before epoch slicing.
     lead_frames: u64,
 }
@@ -83,8 +88,8 @@ fn build_server(sc: &Scenario, naive: bool) -> ServerSim {
 
 /// Drives one engine flavour through the whole scenario: a `run_frames`
 /// lead-in, epoch-sliced advancement across two servers, a mid-run
-/// constraint change, and a mid-run migration. Returns everything
-/// observable.
+/// constraint change, a mid-run migration, and a throttle on server A
+/// that lifts a few epochs later. Returns everything observable.
 fn drive(sc: &Scenario, naive: bool) -> (RunSummary, RunSummary, u64, u64, u64) {
     let mut a = build_server(sc, naive);
     let mut b = ServerSim::with_default_platform();
@@ -104,6 +109,12 @@ fn drive(sc: &Scenario, naive: bool) -> (RunSummary, RunSummary, u64, u64, u64) 
         t += sc.epoch_s;
         a.run_epoch(t, 10_000_000).expect("epoch a");
         b.run_epoch(t, 10_000_000).expect("epoch b");
+        if epoch == sc.throttle_epoch {
+            a.set_freq_cap(Some(2.0));
+        }
+        if epoch == sc.throttle_epoch + sc.throttle_epochs {
+            a.set_freq_cap(None);
+        }
         if epoch == sc.constraint_epoch {
             let tight = Constraints {
                 power_cap_w: 70.0,
@@ -166,6 +177,8 @@ proptest! {
         epoch_ms in 80u64..900,
         constraint_epoch in 1u64..6,
         migrate_epoch in 1u64..6,
+        throttle_epoch in 1u64..6,
+        throttle_epochs in 1u64..4,
         lead_frames in 0u64..12,
     ) {
         let sc = Scenario {
@@ -175,6 +188,8 @@ proptest! {
             epoch_s: epoch_ms as f64 / 1_000.0,
             constraint_epoch,
             migrate_epoch,
+            throttle_epoch,
+            throttle_epochs,
             lead_frames,
         };
         let incremental = drive(&sc, false);
