@@ -21,9 +21,14 @@
 //!   falling back to a cold start when the store has nothing compatible).
 //!
 //! The store is shared across nodes behind `Arc<Mutex<…>>`
-//! ([`SharedKnowledgeStore`]); every access happens on the coordinating
-//! thread at epoch boundaries (publish during harvest, seed during
-//! dispatch), so fleet determinism is preserved for any worker count.
+//! ([`SharedKnowledgeStore`]). Writes happen on the coordinating thread
+//! between advances: the harvest publishes, in node-id then session-id
+//! order, the knowledge each node captured from its finished sessions at
+//! the end of its advance. Seeds mostly happen during an advance, on the
+//! worker threads that build the nodes' admitted sessions (crash
+//! recovery seeds on the coordinator). A seed only reads entries and
+//! bumps two counters, and nothing writes the store during an advance,
+//! so fleet determinism is preserved for any worker count.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};

@@ -4,7 +4,7 @@
 //! run-time manager — MAMUT, mono-agent, heuristic, fixed — drives
 //! sessions placed here.
 
-use mamut_core::{Controller, KnobSettings};
+use mamut_core::{Controller, KnobSettings, PolicySnapshot};
 use mamut_platform::{Platform, PowerTerm, SessionLoad};
 use mamut_transcode::{
     RunSummary, ServerSim, StreamShape, TranscodeError, TranscodeSession, INITIAL_KNOBS,
@@ -116,6 +116,9 @@ fn term_at(server: &ServerSim, knobs: KnobSettings) -> PowerTerm {
 /// counters next to it change only where that list changes — arrival,
 /// departure, a throttle change, and the prune at the end of each
 /// [`FleetNode::run_epoch`] — so a [`NodeView`] reads them in O(1).
+/// That prune also archives the sessions that finished: the server keeps
+/// only their summary rows, so memory and rate rebuilds scale with the
+/// live sessions, not with every session the node has served.
 ///
 /// Admission is bookkeeping: [`FleetNode::admit`] counts a session in
 /// at [`INITIAL_KNOBS`] and queues it, and the node builds its queued
@@ -150,6 +153,10 @@ pub struct FleetNode {
     /// finished during the last [`FleetNode::run_epoch`], in session-id
     /// order. Cleared when the next one starts.
     finished: Vec<(usize, u64, u64)>,
+    /// Knowledge-only snapshots of the sessions that finished since the
+    /// last [`FleetNode::harvest_finished`], in session-id order; `None`
+    /// while the fleet has no knowledge store, so nothing is captured.
+    captured: Option<Vec<(SessionClass, PolicySnapshot)>>,
     sessions_admitted: u64,
     sessions_migrated_in: u64,
     sessions_migrated_out: u64,
@@ -188,6 +195,7 @@ impl FleetNode {
             epoch_qos: (0, 0),
             lifetime_qos: (0, 0),
             finished: Vec::new(),
+            captured: None,
             sessions_admitted: 0,
             sessions_migrated_in: 0,
             sessions_migrated_out: 0,
@@ -236,8 +244,8 @@ impl FleetNode {
     /// allowed to bypass the [`FleetNode::retire`] guard). Returns the
     /// lost sessions' requests with their frame counts at the moment of
     /// death, in session-id order — the coordinator re-creates them on
-    /// survivors and accounts the re-done work. Finished sessions stay:
-    /// their history and published policies belong to this node.
+    /// survivors and accounts the re-done work. Finished sessions' summary
+    /// rows stay: their history belongs to this node.
     pub(crate) fn crash_kill(&mut self) -> Result<Vec<(SessionRequest, u64)>, FleetError> {
         // Each detached session is dropped here: that is the crash. Its
         // work since the last checkpoint is gone.
@@ -256,8 +264,11 @@ impl FleetNode {
         self.server.align_clock(time)
     }
 
-    /// The underlying server simulator. Sessions admitted since the
-    /// node last advanced are not on it yet: it builds them at its next
+    /// The underlying server simulator. Its resident sessions are the
+    /// live ones: a session that finishes is archived at the end of the
+    /// advance that finished it, so the server keeps only its summary row
+    /// (see [`FleetNode::summary`]). Sessions admitted since the node last
+    /// advanced are not on it yet: it builds them at its next
     /// [`FleetNode::run_epoch`].
     pub fn server(&self) -> &ServerSim {
         &self.server
@@ -481,9 +492,9 @@ impl FleetNode {
     }
 
     /// Detaches every live (unfinished) session for migration to peers —
-    /// the "drain" half of drain-before-decommission. Finished sessions
-    /// stay put: their history belongs to this node and their policies
-    /// publish from here. Sessions come out in session-id order.
+    /// the "drain" half of drain-before-decommission. Finished sessions'
+    /// summary rows stay put: their history belongs to this node.
+    /// Sessions come out in session-id order.
     pub fn drain(&mut self) -> Result<Vec<MigratedSession>, FleetError> {
         let drained = self.detach_all()?;
         self.sessions_migrated_out += drained.len() as u64;
@@ -575,27 +586,33 @@ impl FleetNode {
         self.update_power();
     }
 
-    /// Publishes the learned policy of every session that finished during
-    /// the last [`FleetNode::run_epoch`], in session-id order. Returns how
-    /// many were published. Call it once per epoch: a migrated session
-    /// thereby publishes exactly once, from the node where it finishes.
-    pub fn harvest_finished(&self, store: &mut KnowledgeStore) -> u64 {
-        let mut published = 0;
-        for &(sid, _, _) in &self.finished {
-            if let Ok(session) = self.server.session(sid) {
-                let class = SessionClass::of_hr(session.is_high_resolution());
-                store.publish(class, &session.controller().snapshot());
-                published += 1;
+    /// Publishes the knowledge captured from the sessions that finished
+    /// since the last harvest, in session-id order, and forgets it. A
+    /// session finishes once, on the node that hosts it then, so it
+    /// publishes exactly once.
+    pub(crate) fn harvest_finished(&mut self, store: &mut KnowledgeStore) {
+        if let Some(captured) = &mut self.captured {
+            for (class, snapshot) in captured.drain(..) {
+                store.publish(class, &snapshot);
             }
         }
-        published
+    }
+
+    /// Turns knowledge capture on or off: while on, each finished
+    /// session's knowledge-only snapshot is kept for
+    /// [`FleetNode::harvest_finished`]. The fleet turns it on while it has
+    /// a knowledge store.
+    pub(crate) fn set_captures_knowledge(&mut self, on: bool) {
+        self.captured = on.then(Vec::new);
     }
 
     /// Builds the queued admissions, advances the node's virtual clock to
     /// `until`, then prunes the sessions that finished on the way and
     /// recounts the live ones: the next [`FleetNode::view`] reports this
     /// epoch's QoS, the knobs the controllers settled on, and no
-    /// finished session.
+    /// finished session. Each finished session's knowledge is captured
+    /// (when the fleet has a knowledge store) and the session is archived
+    /// on the server, which keeps only its summary row.
     ///
     /// # Errors
     ///
@@ -613,10 +630,12 @@ impl FleetNode {
         result
     }
 
-    /// The end-of-epoch prune and recount over the live list.
+    /// The end-of-epoch prune and recount over the live list, then the
+    /// archive of the sessions that finished.
     fn settle_epoch(&mut self) {
         let (server, finished, lifetime) =
             (&self.server, &mut self.finished, &mut self.lifetime_qos);
+        let mut captured = self.captured.as_mut();
         let (mut planned, mut demanded, mut epoch) = (0, 0, (0, 0));
         self.live.retain_mut(|entry| {
             let Ok(session) = server.session(entry.sid) else {
@@ -628,6 +647,10 @@ impl FleetNode {
             lifetime.1 += delta.1;
             if session.is_finished() {
                 finished.push((entry.sid, entry.request.id, frames));
+                if let Some(captured) = captured.as_mut() {
+                    let class = SessionClass::of_hr(session.is_high_resolution());
+                    captured.push((class, session.controller().snapshot().into_knowledge()));
+                }
                 return false;
             }
             let knobs = session.knobs();
@@ -645,6 +668,10 @@ impl FleetNode {
         self.threads_demanded = demanded;
         self.epoch_qos = epoch;
         self.update_power();
+        for &(sid, _, _) in &self.finished {
+            let archived = self.server.archive_session(sid);
+            debug_assert!(archived.is_ok(), "a finished session archives");
+        }
     }
 
     /// Whether every admitted session has finished. A queued admission
@@ -653,8 +680,10 @@ impl FleetNode {
         self.queued == 0 && self.server.all_finished()
     }
 
-    /// Per-session results measured so far (queued admissions are not
-    /// on the server yet).
+    /// Per-session results measured so far, one row per session in
+    /// session-id order: live sessions and the archived rows of finished
+    /// ones. Queued admissions are not on the server yet, and migrated
+    /// sessions report from their new node.
     pub fn summary(&self) -> RunSummary {
         self.server.summary()
     }
@@ -666,7 +695,7 @@ mod tests {
     use mamut_core::{FixedController, MamutConfig, MamutController};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn fixed_factory() -> ControllerFactory {
         Box::new(|req| {
@@ -733,11 +762,17 @@ mod tests {
         let drained = n.drain().unwrap();
         assert_eq!(drained.len(), 2, "only unfinished sessions drain");
         assert_eq!(n.sessions_migrated_out(), 2);
+        assert!(
+            n.server().sessions().is_empty(),
+            "the finished one archived"
+        );
+        let history = n.summary();
         assert_eq!(
-            n.server().sessions().len(),
+            history.sessions.len(),
             1,
             "the finished session's history stays"
         );
+        assert_eq!(history.sessions[0].frames, 5);
         assert!(n.all_finished());
         assert_eq!(n.view().active_sessions, 0);
         // Draining an already-empty node is a no-op.
@@ -859,18 +894,20 @@ mod tests {
     }
 
     /// What the test believes about one node, kept apart from the node's
-    /// own bookkeeping: the request behind every live session id, and the
-    /// QoS marks it took itself before the last epoch.
+    /// own bookkeeping: the request behind every live session id, the QoS
+    /// marks it took itself before the last epoch, and the ids with a row
+    /// in the node's summary (live or finished, in row order).
     #[derive(Default)]
     struct Model {
         live: BTreeMap<usize, SessionRequest>,
         marks: BTreeMap<usize, (u64, u64)>,
+        rows: BTreeSet<usize>,
     }
 
     /// Compares the maintained view and totals with a from-scratch
     /// reference: the uncached power draw of the server's unfinished
     /// sessions plus the queued admissions at [`INITIAL_KNOBS`] (session-id
-    /// order), folds over the server's sessions, and planning shapes
+    /// order), folds over the node's summary rows, and planning shapes
     /// rebuilt from the model's requests.
     fn assert_view_matches(n: &FleetNode, model: &Model, step: &str) {
         let view = n.view();
@@ -927,12 +964,10 @@ mod tests {
             "{step}"
         );
         let lifetime = n
-            .server()
-            .sessions()
+            .summary()
+            .sessions
             .iter()
-            .fold((0u64, 0u64), |(f, v), s| {
-                (f + s.qos().frames(), v + s.qos().violations())
-            });
+            .fold((0u64, 0u64), |(f, v), s| (f + s.frames, v + s.violations));
         assert_eq!(n.qos_totals(), lifetime, "{step}");
         assert_eq!(
             n.utilization().to_bits(),
@@ -964,6 +999,7 @@ mod tests {
                         let req = request(next_id, rng.gen_bool(0.5), frames);
                         let sid = nodes[a].admit(&req);
                         models[a].live.insert(sid, req);
+                        models[a].rows.insert(sid);
                     }
                     // Advance both nodes through one epoch.
                     2 | 3 => {
@@ -975,14 +1011,19 @@ mod tests {
                                 .map(|&sid| (sid, n.server().session(sid).map_or((0, 0), qos_of)))
                                 .collect();
                             n.run_epoch(now, 1_000_000).unwrap();
+                            // A finished session leaves the server; its
+                            // frames live on in its archived summary row.
+                            let rows = n.summary().sessions;
                             let ended: Vec<(usize, u64, u64)> = m
                                 .live
                                 .iter()
-                                .map(|(&sid, r)| (sid, r, n.server().session(sid).unwrap()))
-                                .filter(|(_, _, s)| s.is_finished())
-                                .map(|(sid, r, s)| (sid, r.id, s.frames_completed()))
+                                .filter(|(&sid, _)| n.server().session(sid).is_err())
+                                .map(|(&sid, r)| {
+                                    (sid, r.id, rows[m.rows.range(..sid).count()].frames)
+                                })
                                 .collect();
                             assert_eq!(n.finished_sessions(), ended.as_slice());
+                            assert!(n.server().sessions().iter().all(|s| !s.is_finished()));
                             m.live.retain(|sid, _| ended.iter().all(|e| e.0 != *sid));
                         }
                     }
@@ -998,9 +1039,11 @@ mod tests {
                         };
                         for migrated in moved {
                             models[a].live.retain(|_, r| r.id != migrated.request.id);
+                            models[a].rows.remove(&migrated.session().id());
                             let req = migrated.request.clone();
                             let sid = nodes[b].attach_session(migrated);
                             models[b].live.insert(sid, req);
+                            models[b].rows.insert(sid);
                         }
                     }
                     // Crash: the survivor adopts the lost sessions from a
@@ -1022,6 +1065,7 @@ mod tests {
                             // order: the adoptee is its newest session.
                             let sid = nodes[b].server().sessions().last().unwrap().id();
                             models[b].live.insert(sid, req.clone());
+                            models[b].rows.insert(sid);
                         }
                         nodes[a] = new_node(a);
                         nodes[a].align_clock(now).unwrap();

@@ -196,12 +196,12 @@ impl Rebalancer for PowerQosBalance {
             return Vec::new();
         }
         // Sort by distress descending; ties by id so planning is
-        // deterministic for identical loads.
+        // deterministic for identical loads. A non-finite weight can make
+        // distress NaN: `total_cmp` still orders it.
         let mut order: Vec<&NodeView> = nodes.iter().collect();
         order.sort_by(|a, b| {
             self.distress(b)
-                .partial_cmp(&self.distress(a))
-                .expect("distress is finite")
+                .total_cmp(&self.distress(a))
                 .then(a.node_id.cmp(&b.node_id))
         });
         let mut directives = Vec::new();
@@ -212,7 +212,11 @@ impl Rebalancer for PowerQosBalance {
             if donor.active_sessions == 0 {
                 continue;
             }
-            if self.distress(donor) - self.distress(receiver) < self.min_gap {
+            let gap = self.distress(donor) - self.distress(receiver);
+            if !gap.is_finite() {
+                continue; // no meaningful gap to act on
+            }
+            if gap < self.min_gap || self.min_gap.is_nan() {
                 break; // order is sorted: later pairs have smaller gaps
             }
             directives.push(MigrationDirective {
@@ -336,6 +340,24 @@ mod tests {
         assert!(PowerQosBalance::new()
             .plan(0, &[distressed(0, 118.0, 50.0, 4)])
             .is_empty());
+    }
+
+    #[test]
+    fn power_qos_plans_nothing_from_non_finite_settings() {
+        let nodes = vec![distressed(0, 118.0, 40.0, 3), distressed(1, 40.0, 0.0, 1)];
+        assert!(
+            !PowerQosBalance::new().plan(0, &nodes).is_empty(),
+            "finite settings move a session"
+        );
+        for mut policy in [
+            PowerQosBalance::new().with_weights(f64::NAN, 1.0),
+            PowerQosBalance::new().with_weights(1.0, f64::NAN),
+            PowerQosBalance::new().with_weights(f64::INFINITY, 1.0),
+            PowerQosBalance::new().with_weights(1.0, f64::INFINITY),
+            PowerQosBalance::new().with_min_gap(f64::NAN),
+        ] {
+            assert!(policy.plan(0, &nodes).is_empty(), "{policy:?}");
+        }
     }
 
     #[test]

@@ -310,6 +310,9 @@ impl FleetSim {
     /// across runs to carry knowledge between whole workloads.
     pub fn set_knowledge_store(&mut self, store: SharedKnowledgeStore) {
         self.knowledge = Some(store);
+        for node in &mut self.nodes {
+            node.set_captures_knowledge(true);
+        }
     }
 
     /// Adds a node on the paper's default platform. The factory decides
@@ -322,9 +325,17 @@ impl FleetSim {
     /// Adds a node on an explicit platform model.
     pub fn add_node_on(&mut self, platform: Platform, factory: ControllerFactory) -> usize {
         let id = self.nodes.len();
-        let node = FleetNode::new(id, platform, self.config.power_cap_w, factory);
+        let node = self.new_node(platform, factory);
         self.nodes.push(node);
         id
+    }
+
+    /// A node with the next id that captures finished sessions' knowledge
+    /// when this fleet has a store.
+    fn new_node(&self, platform: Platform, factory: ControllerFactory) -> FleetNode {
+        let mut node = FleetNode::new(self.nodes.len(), platform, self.config.power_cap_w, factory);
+        node.set_captures_knowledge(self.knowledge.is_some());
+        node
     }
 
     /// Number of nodes ever part of the fleet (including retired ones).
@@ -490,10 +501,10 @@ impl FleetSim {
                 util,
             );
         }
-        // Session completions and knowledge harvest both read each active
-        // node's finished-session list, which holds exactly this epoch's
-        // advance. Node-id order, then session-id order, keeps both
-        // independent of the worker count.
+        // Session completions read each active node's finished-session
+        // list and the harvest its captured knowledge; both hold exactly
+        // this epoch's advance. Node-id order, then session-id order,
+        // keeps both independent of the worker count.
         if self.telemetry.enabled() {
             let at_end_us = self.epoch_us(self.epoch + 1);
             for &(id, _) in &active {
@@ -699,7 +710,7 @@ impl FleetSim {
                 None => factory,
             };
             let id = self.nodes.len();
-            let mut node = FleetNode::new(id, platform, self.config.power_cap_w, factory);
+            let mut node = self.new_node(platform, factory);
             node.align_clock(epoch_start)
                 .map_err(|source| FleetError::Node { node: id, source })?;
             self.nodes.push(node);
@@ -1045,11 +1056,11 @@ impl FleetSim {
             .unwrap_or(0)
     }
 
-    /// Publishes the policies of sessions that finished during this
-    /// epoch's advance to the knowledge store, `active` nodes in id order
+    /// Publishes the knowledge the advance captured from the sessions
+    /// that finished during this epoch, `active` nodes in id order
     /// (determinism). Retired nodes did not advance, so they have nothing
     /// new to publish.
-    fn harvest_knowledge(&self, active: &[(usize, f64)]) {
+    fn harvest_knowledge(&mut self, active: &[(usize, f64)]) {
         let Some(store) = &self.knowledge else {
             return;
         };
@@ -1975,6 +1986,41 @@ mod tests {
         let one = run(1);
         assert_eq!(one, run(2));
         assert_eq!(one, run(8));
+    }
+
+    #[test]
+    fn finished_sessions_leave_the_server_in_the_advance_that_finished_them() {
+        use crate::knowledge::{KnowledgeStore, MergePolicy};
+        let store = KnowledgeStore::new(MergePolicy::VisitWeighted).into_shared();
+        let mut sim = elastic_fleet(2);
+        sim.set_knowledge_store(std::sync::Arc::clone(&store));
+        sim.set_checkpoint_policy(CheckpointPolicy::every(2));
+        sim.set_fault_plan(FaultPlan::new().with_crash(8, 1));
+        let summary = step_to_completion(&mut sim, |sim| {
+            for node in sim.nodes() {
+                assert!(
+                    node.server().sessions().iter().all(|s| !s.is_finished()),
+                    "node {} still holds a finished session after epoch {}",
+                    node.id(),
+                    sim.epoch()
+                );
+            }
+        });
+        assert!(summary.drained_sessions > 0, "no drain: {summary}");
+        assert_eq!(summary.crashes, 1, "{summary}");
+        assert!(summary.migrations > 0, "no rebalancing: {summary}");
+        assert!(summary.warm_starts > 0, "no warm start: {summary}");
+        assert_eq!(store.lock().unwrap().publishes(), summary.total_sessions);
+        // Every session's history survives as one archived row, on the
+        // node where it finished.
+        let rows: Vec<&mamut_transcode::SessionSummary> = summary
+            .node_runs
+            .iter()
+            .flat_map(|run| &run.sessions)
+            .collect();
+        assert_eq!(rows.len() as u64, summary.total_sessions);
+        let frames: u64 = bursty_workload().arrivals().iter().map(|r| r.frames).sum();
+        assert_eq!(rows.iter().map(|row| row.frames).sum::<u64>(), frames);
     }
 
     #[test]

@@ -158,7 +158,12 @@ pub struct FleetSummary {
     /// which also gates the summary's `telemetry:` line, keeping
     /// untraced renderings byte-identical to historical output).
     pub trace_events: u64,
-    /// Full per-node run summaries (not rendered; for drill-down).
+    /// Full per-node run summaries, in node-id order (not rendered; for
+    /// drill-down). Each holds one row per session that finished on the
+    /// node, in session-id order: the row the node archived when the
+    /// session finished (see [`FleetNode::summary`]).
+    ///
+    /// [`FleetNode::summary`]: crate::FleetNode::summary
     pub node_runs: Vec<RunSummary>,
 }
 

@@ -11,6 +11,8 @@
 //! so a workload is a pure function of its config — the property the
 //! fleet determinism tests pin down.
 
+use std::sync::OnceLock;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -38,11 +40,11 @@ impl SessionRequest {
     /// The catalog sequence this session transcodes (picked by seed from
     /// the matching resolution class, truncated to the session length).
     pub fn spec(&self) -> SequenceSpec {
-        let pool = if self.hr {
-            catalog::class_b()
-        } else {
-            catalog::class_c()
-        };
+        // Each class's catalog entries, built once: a spec is then one
+        // clone of the picked entry.
+        static CLASSES: OnceLock<[Vec<SequenceSpec>; 2]> = OnceLock::new();
+        let [hr, lr] = CLASSES.get_or_init(|| [catalog::class_b(), catalog::class_c()]);
+        let pool = if self.hr { hr } else { lr };
         pool[(self.seed as usize) % pool.len()]
             .with_frame_count(self.frames.max(1))
             .expect("session lengths are non-zero")

@@ -12,6 +12,9 @@ pub enum TranscodeError {
     },
     /// A session id does not exist.
     UnknownSession(usize),
+    /// The session has not finished its playlist, so it cannot be
+    /// archived.
+    SessionUnfinished(usize),
     /// The simulation has no sessions to run.
     NoSessions,
     /// The encoder rejected a knob setting (propagated).
@@ -36,6 +39,7 @@ impl fmt::Display for TranscodeError {
                 write!(f, "event budget exhausted after {events} events")
             }
             TranscodeError::UnknownSession(id) => write!(f, "no session with id {id}"),
+            TranscodeError::SessionUnfinished(id) => write!(f, "session {id} has not finished"),
             TranscodeError::NoSessions => write!(f, "simulation has no sessions"),
             TranscodeError::Encoder(msg) => write!(f, "encoder error: {msg}"),
             TranscodeError::CannotAlignClock {

@@ -32,9 +32,12 @@
 //! heap pop plus one push — no per-session rescans, no model
 //! re-evaluation, no allocations. Knob, constraint, session-set or
 //! resolution changes bump the epoch and rebuild exactly the state they
-//! invalidate; the `oracle` feature compiles a naive per-event
-//! recomputation path that the test suite holds bit-identical to the
-//! incremental engine.
+//! invalidate. A rebuild walks only the live slots, and a finished
+//! session can be archived to its summary row
+//! ([`ServerSim::archive_session`]), so a server that has served many
+//! sessions costs what its live ones do. The `oracle` feature compiles a
+//! naive per-event recomputation path that the test suite holds
+//! bit-identical to the incremental engine.
 //!
 //! # Example
 //!

@@ -1,7 +1,7 @@
 use mamut_core::{Constraints, Controller};
 use mamut_platform::{Platform, PowerSensor, PowerTerm, SessionLoad};
 
-use crate::{RunSummary, SessionConfig, TranscodeError, TranscodeSession};
+use crate::{RunSummary, SessionConfig, SessionSummary, TranscodeError, TranscodeSession};
 
 /// Work below this many cycles counts as frame completion (guards float
 /// residue; one cycle at 3.2 GHz is ≈0.3 ns of work).
@@ -29,6 +29,8 @@ enum SessionSlot {
     /// A session lives here (finished or not). Boxed: a vacated slot is
     /// a tombstone and should not keep a session-sized footprint.
     Occupied(Box<TranscodeSession>),
+    /// A finished session was archived: only its summary row is left.
+    Archived(Box<SessionSummary>),
     /// The session that lived here was detached (migrated away).
     Vacated,
 }
@@ -37,14 +39,14 @@ impl SessionSlot {
     fn get(&self) -> Option<&TranscodeSession> {
         match self {
             SessionSlot::Occupied(s) => Some(s),
-            SessionSlot::Vacated => None,
+            _ => None,
         }
     }
 
     fn get_mut(&mut self) -> Option<&mut TranscodeSession> {
         match self {
             SessionSlot::Occupied(s) => Some(s),
-            SessionSlot::Vacated => None,
+            _ => None,
         }
     }
 }
@@ -192,6 +194,12 @@ struct HotState {
     power: f64,
     /// Active (in-flight) session ids in ascending order.
     active: Vec<u32>,
+    /// Slot ids the last rebuild walked, ascending: the engine's previous
+    /// active set plus the slots added since, or every slot for the
+    /// oracle.
+    walk: Vec<u32>,
+    /// Slot count at the last rebuild: ids from here on were added since.
+    known_slots: usize,
     /// Earliest-completion queue over the active sessions.
     heap: DeadlineHeap,
     /// Scratch: ids completing at the current event, ascending.
@@ -421,8 +429,8 @@ impl ServerSim {
     ///
     /// # Errors
     ///
-    /// Returns [`TranscodeError::UnknownSession`] for a bad or already
-    /// vacated id.
+    /// Returns [`TranscodeError::UnknownSession`] for a bad, vacated or
+    /// archived id.
     pub fn detach_session(&mut self, id: usize) -> Result<TranscodeSession, TranscodeError> {
         let now = self.time;
         let rate = self.hot.rate.get(id).copied().unwrap_or(0.0);
@@ -448,7 +456,50 @@ impl ServerSim {
                 self.hot.dirty = true;
                 Ok(*s)
             }
-            SessionSlot::Vacated => Err(TranscodeError::UnknownSession(id)),
+            other => {
+                *slot = other;
+                Err(TranscodeError::UnknownSession(id))
+            }
+        }
+    }
+
+    /// Archives a finished session: its slot keeps only the session's
+    /// [`SessionSummary`] row, and the controller, playlist, video source
+    /// and QoS history are dropped. [`ServerSim::summary`] still reports
+    /// the row in id order, while [`ServerSim::session`],
+    /// [`ServerSim::sessions`], [`ServerSim::checkpoint_session`] and
+    /// [`ServerSim::into_controllers`] no longer see the session. A
+    /// finished session has left the active set, so archiving changes no
+    /// rate, clock or energy integral, and it does not bump the rate
+    /// epoch.
+    ///
+    /// Only a caller that is done with the finished session's controller
+    /// archives it (a fleet node does, once it has captured the
+    /// session's knowledge); a server on its own keeps every session.
+    ///
+    /// # Errors
+    ///
+    /// [`TranscodeError::SessionUnfinished`] if the session is still
+    /// transcoding; [`TranscodeError::UnknownSession`] for a bad, vacated
+    /// or already archived id. Either way the server is left untouched.
+    pub fn archive_session(&mut self, id: usize) -> Result<(), TranscodeError> {
+        let slot = self
+            .sessions
+            .get_mut(id)
+            .ok_or(TranscodeError::UnknownSession(id))?;
+        match std::mem::replace(slot, SessionSlot::Vacated) {
+            SessionSlot::Occupied(s) if s.is_finished() => {
+                *slot = SessionSlot::Archived(Box::new(s.into_summary()));
+                Ok(())
+            }
+            other => {
+                let err = match other {
+                    SessionSlot::Occupied(_) => TranscodeError::SessionUnfinished(id),
+                    _ => TranscodeError::UnknownSession(id),
+                };
+                *slot = other;
+                Err(err)
+            }
         }
     }
 
@@ -496,17 +547,20 @@ impl ServerSim {
         Ok(())
     }
 
-    /// Resident sessions in id order (vacated slots of migrated-away
-    /// sessions are skipped, so ids may have gaps).
+    /// Resident sessions in id order, finished ones included until they
+    /// are archived. Vacated slots of migrated-away sessions and archived
+    /// sessions are skipped, so ids may have gaps.
     pub fn sessions(&self) -> Vec<&TranscodeSession> {
         self.sessions.iter().filter_map(SessionSlot::get).collect()
     }
 
-    /// One session by id.
+    /// One resident session by id.
     ///
     /// # Errors
     ///
-    /// Returns [`TranscodeError::UnknownSession`] for a bad or vacated id.
+    /// Returns [`TranscodeError::UnknownSession`] for a bad, vacated or
+    /// archived id (an archived session lives on as a row of
+    /// [`ServerSim::summary`]).
     pub fn session(&self, id: usize) -> Result<&TranscodeSession, TranscodeError> {
         self.sessions
             .get(id)
@@ -574,8 +628,8 @@ impl ServerSim {
     /// disturbing it: the in-flight frame's remaining work is
     /// materialized at the current clock inside the byte stream (the
     /// same arithmetic [`ServerSim::detach_session`] applies), while the
-    /// live session keeps its lazy anchor. Returns `None` for a bad or
-    /// vacated id. Feed the bytes to
+    /// live session keeps its lazy anchor. Returns `None` for a bad,
+    /// vacated or archived id. Feed the bytes to
     /// [`TranscodeSession::restore_checkpoint`] to rebuild the session.
     pub fn checkpoint_session(&self, id: usize) -> Option<Vec<u8>> {
         let session = self.sessions.get(id).and_then(SessionSlot::get)?;
@@ -680,6 +734,11 @@ impl ServerSim {
     /// re-anchors exactly the frames whose effective rate actually
     /// changed (bitwise) — everyone else keeps their deadline, so an
     /// epoch bump perturbs nothing it does not have to.
+    ///
+    /// The engine walks only the previous active set plus the slots added
+    /// since: the last rebuild left every other slot finished, archived
+    /// or vacated, and none of those ever runs again. The oracle walks
+    /// every slot.
     fn rebuild_epoch(&mut self) {
         let now = self.time;
         let cap = self.freq_cap_ghz;
@@ -689,8 +748,23 @@ impl ServerSim {
         };
         self.hot.rate_epochs += 1;
 
+        // 0. The slots to walk, ascending: the previous active set (its
+        //    buffer swaps in; step 2 refills `active`), then the new slots.
+        let hot = &mut self.hot;
+        std::mem::swap(&mut hot.walk, &mut hot.active);
+        let first_new = if self.naive {
+            hot.walk.clear();
+            0
+        } else {
+            hot.known_slots
+        };
+        hot.walk
+            .extend(first_new as u32..self.sessions.len() as u32);
+        hot.known_slots = self.sessions.len();
+
         // 1. Every unfinished session gets a frame in flight.
-        for id in 0..self.sessions.len() {
+        for k in 0..self.hot.walk.len() {
+            let id = self.hot.walk[k] as usize;
             let Some(s) = self.sessions[id].get_mut() else {
                 continue;
             };
@@ -715,8 +789,11 @@ impl ServerSim {
         let (naive, platform, hot) = (self.naive, &self.platform, &mut self.hot);
         hot.active.clear();
         let mut total: u32 = 0;
-        for (id, slot) in self.sessions.iter().enumerate() {
-            let Some(s) = slot.get() else { continue };
+        for &id in &hot.walk {
+            let id = id as usize;
+            let Some(s) = self.sessions[id].get() else {
+                continue;
+            };
             if s.in_flight.is_some() {
                 let k = s.knobs();
                 hot.active.push(id as u32);
@@ -943,20 +1020,37 @@ impl ServerSim {
         }
     }
 
-    /// Builds the summary of everything measured so far.
+    /// Builds the summary of everything measured so far: one row per
+    /// resident or archived session, in id order (migrated-away sessions
+    /// report where they went).
     pub fn summary(&self) -> RunSummary {
-        RunSummary::from_server(self)
+        let sessions = self
+            .sessions
+            .iter()
+            .filter_map(|slot| match slot {
+                SessionSlot::Occupied(s) => Some(s.summary()),
+                SessionSlot::Archived(row) => Some(SessionSummary::clone(row)),
+                SessionSlot::Vacated => None,
+            })
+            .collect();
+        RunSummary {
+            sessions,
+            mean_power_w: self.sensor.lifetime_average(),
+            energy_j: self.sensor.total_energy_j(),
+            duration_s: self.time,
+        }
     }
 
     /// Consumes the server, returning each resident session's controller
-    /// in id order (migrated-away sessions took their controllers with
-    /// them) — used to carry trained controllers into a follow-up run.
+    /// in id order — used to carry trained controllers into a follow-up
+    /// run. Migrated-away sessions took their controllers with them, and
+    /// archived sessions dropped theirs.
     pub fn into_controllers(self) -> Vec<Box<dyn Controller>> {
         self.sessions
             .into_iter()
             .filter_map(|slot| match slot {
                 SessionSlot::Occupied(s) => Some(s.into_controller()),
-                SessionSlot::Vacated => None,
+                _ => None,
             })
             .collect()
     }
@@ -1415,6 +1509,110 @@ mod tests {
         assert_eq!(
             srv.session(0).unwrap().frames_completed(),
             twin.session(0).unwrap().frames_completed()
+        );
+    }
+
+    #[test]
+    fn a_rebuild_walks_only_the_live_slots() {
+        // 500 two-frame sessions come and go around two long ones. Once
+        // they have finished, a rebuild visits the two live slots and
+        // none of the 500 finished ones.
+        let mut srv = ServerSim::with_default_platform();
+        srv.add_session(
+            SessionConfig::single_video(hr_spec(100_000), 1),
+            fixed(8, 2.9),
+        );
+        srv.add_session(
+            SessionConfig::single_video(lr_spec(100_000), 2),
+            fixed(4, 2.6),
+        );
+        for batch in 0..51u64 {
+            if batch < 50 {
+                for i in 0..10 {
+                    srv.add_session(
+                        SessionConfig::single_video(lr_spec(2), 10 * batch + i),
+                        fixed(4, 3.2),
+                    );
+                }
+            }
+            srv.run_epoch((batch + 1) as f64, 1_000_000).unwrap();
+        }
+        assert_eq!(srv.next_session_id(), 502);
+        assert_eq!(srv.load().active_sessions, 2, "the short sessions finished");
+        srv.set_freq_cap(Some(2.0)); // forces a rebuild at the next event
+        let epochs = srv.rate_epochs();
+        assert!(srv.step());
+        assert_eq!(srv.rate_epochs(), epochs + 1);
+        assert_eq!(srv.hot.walk, [0, 1], "the rebuild walked finished slots");
+    }
+
+    #[test]
+    fn archiving_keeps_the_summary_and_drops_the_sessions() {
+        let build = || {
+            let mut srv = ServerSim::with_default_platform();
+            srv.add_session(SessionConfig::single_video(hr_spec(30), 1), fixed(8, 2.9));
+            srv.add_session(SessionConfig::single_video(lr_spec(400), 2), fixed(4, 2.6));
+            srv.add_session(SessionConfig::single_video(lr_spec(40), 3), fixed(4, 2.6));
+            srv.run_epoch(0.5, 100_000).unwrap();
+            srv.detach_session(1).unwrap(); // a vacated slot between rows
+            srv.run_to_completion(100_000).unwrap();
+            srv
+        };
+        let (mut srv, mut twin) = (build(), build());
+        let before = srv.summary();
+        assert_eq!(before.sessions.len(), 2);
+        for id in [0, 2] {
+            srv.archive_session(id).unwrap();
+        }
+        assert_eq!(srv.summary(), before, "archived rows stay, in id order");
+        assert!(srv.sessions().is_empty());
+        // The archived server idles on exactly like one that archived
+        // nothing, without an extra rate epoch.
+        srv.run_epoch(50.0, 100).unwrap();
+        twin.run_epoch(50.0, 100).unwrap();
+        assert_eq!(srv.summary(), twin.summary());
+        assert_eq!(srv.rate_epochs(), twin.rate_epochs());
+        assert_eq!(
+            srv.sensor().total_energy_j().to_bits(),
+            twin.sensor().total_energy_j().to_bits()
+        );
+        assert!(srv.into_controllers().is_empty());
+    }
+
+    #[test]
+    fn archive_refuses_unfinished_vacated_and_unknown_ids() {
+        let build = || {
+            let mut srv = ServerSim::with_default_platform();
+            srv.add_session(SessionConfig::single_video(hr_spec(400), 1), fixed(8, 2.9));
+            srv.add_session(SessionConfig::single_video(lr_spec(400), 2), fixed(4, 2.6));
+            srv.add_session(SessionConfig::single_video(lr_spec(5), 3), fixed(4, 2.6));
+            srv.run_epoch(1.0, 100_000).unwrap();
+            srv.detach_session(1).unwrap();
+            srv
+        };
+        let (mut srv, mut twin) = (build(), build());
+        assert!(srv.session(2).unwrap().is_finished());
+        srv.archive_session(2).unwrap();
+        twin.archive_session(2).unwrap();
+        let before = srv.summary();
+        for (id, err) in [
+            (0, TranscodeError::SessionUnfinished(0)),
+            (1, TranscodeError::UnknownSession(1)),
+            (2, TranscodeError::UnknownSession(2)),
+            (3, TranscodeError::UnknownSession(3)),
+        ] {
+            assert_eq!(srv.archive_session(id), Err(err));
+        }
+        assert_eq!(srv.summary(), before);
+        assert_eq!(srv.session(0).unwrap().name(), "Kimono");
+        assert!(srv.detach_session(2).is_err(), "an archived slot stays put");
+        assert_eq!(srv.summary(), before);
+        srv.run_epoch(100.0, 1_000_000).unwrap();
+        twin.run_epoch(100.0, 1_000_000).unwrap();
+        assert_eq!(srv.summary(), twin.summary());
+        assert_eq!(
+            srv.sensor().total_energy_j().to_bits(),
+            twin.sensor().total_energy_j().to_bits()
         );
     }
 

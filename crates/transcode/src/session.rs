@@ -8,6 +8,8 @@ use mamut_encoder::{wpp, EncodeOutcome, HevcDecoder, HevcEncoder, Preset};
 use mamut_metrics::{QosTracker, RunningStats, Trace, TraceRow};
 use mamut_video::{ContentState, Playlist, Resolution, SequenceSpec, SourceState, VideoSource};
 
+use crate::SessionSummary;
+
 /// Current session-checkpoint codec version. Decoders reject newer.
 pub const SESSION_CHECKPOINT_VERSION: u16 = 1;
 
@@ -288,6 +290,34 @@ impl TranscodeSession {
     /// Mean frequency over completed frames (GHz).
     pub fn mean_freq_ghz(&self) -> f64 {
         self.freq_stats.mean()
+    }
+
+    /// This session's row of a [`RunSummary`](crate::RunSummary).
+    pub(crate) fn summary(&self) -> SessionSummary {
+        self.summary_named(self.name.clone())
+    }
+
+    /// Consumes the session into its summary row, moving its name.
+    pub(crate) fn into_summary(mut self) -> SessionSummary {
+        let name = std::mem::take(&mut self.name);
+        self.summary_named(name)
+    }
+
+    fn summary_named(&self, name: String) -> SessionSummary {
+        SessionSummary {
+            name,
+            controller: self.controller.name().to_owned(),
+            is_hr: self.is_high_resolution(),
+            frames: self.frames_completed(),
+            violations: self.qos.violations(),
+            violation_percent: self.qos.violation_percent(),
+            delivery_violation_percent: self.qos.delivery_violation_percent(),
+            mean_fps: self.mean_fps(),
+            mean_psnr_db: self.mean_psnr_db(),
+            mean_bitrate_mbps: self.mean_bitrate_mbps(),
+            mean_threads: self.mean_threads(),
+            mean_freq_ghz: self.mean_freq_ghz(),
+        }
     }
 
     /// Effective WPP parallel speedup at the current knobs.

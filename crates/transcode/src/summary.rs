@@ -1,7 +1,5 @@
 use mamut_metrics::RunningStats;
 
-use crate::ServerSim;
-
 /// Per-session results of a run — one row of a Table II-style report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionSummary {
@@ -45,33 +43,6 @@ pub struct RunSummary {
 }
 
 impl RunSummary {
-    pub(crate) fn from_server(server: &ServerSim) -> RunSummary {
-        let sessions = server
-            .sessions()
-            .iter()
-            .map(|s| SessionSummary {
-                name: s.name().to_owned(),
-                controller: s.controller().name().to_owned(),
-                is_hr: s.is_high_resolution(),
-                frames: s.frames_completed(),
-                violations: s.qos().violations(),
-                violation_percent: s.qos().violation_percent(),
-                delivery_violation_percent: s.qos().delivery_violation_percent(),
-                mean_fps: s.mean_fps(),
-                mean_psnr_db: s.mean_psnr_db(),
-                mean_bitrate_mbps: s.mean_bitrate_mbps(),
-                mean_threads: s.mean_threads(),
-                mean_freq_ghz: s.mean_freq_ghz(),
-            })
-            .collect();
-        RunSummary {
-            sessions,
-            mean_power_w: server.sensor().lifetime_average(),
-            energy_j: server.sensor().total_energy_j(),
-            duration_s: server.time(),
-        }
-    }
-
     /// Mean of `select` across sessions (0.0 when there are none).
     pub fn session_mean<F: FnMut(&SessionSummary) -> f64>(&self, select: F) -> f64 {
         RunningStats::from_samples(self.sessions.iter().map(select).collect::<Vec<_>>()).mean()

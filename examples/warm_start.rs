@@ -6,7 +6,9 @@
 //! seed) through two identical fleets of MAMUT nodes — one starting
 //! every session cold, one seeding every session from the store — and
 //! compares how many decisions each fleet spends in the exploration
-//! phase before reaching exploitation.
+//! phase before reaching exploitation. Each fleet counts them from the
+//! knowledge its finished sessions publish: the cold fleet publishes to
+//! a store of its own that nothing seeds from.
 //!
 //! The cold fleet pays the full per-stream learning time the paper
 //! describes; the seeded fleet inherits mature Q-tables and goes
@@ -94,9 +96,26 @@ struct FleetResult {
     exploitation: u64,
 }
 
-/// Phase 2: run the churn through a 2-node MAMUT fleet, optionally
-/// seeding every session from the store.
-fn run_fleet(store: Option<&SharedKnowledgeStore>) -> FleetResult {
+/// `(exploration, exploitation)` decisions summed over the store's MAMUT
+/// knowledge of both session classes.
+fn mamut_decisions(store: &SharedKnowledgeStore) -> (u64, u64) {
+    let store = store.lock().expect("store lock");
+    [SessionClass::Hr, SessionClass::Lr]
+        .into_iter()
+        .filter_map(|class| store.knowledge(class, "mamut"))
+        .fold((0, 0), |(explore, exploit), k| {
+            (
+                explore + k.snapshot.exploration_decisions,
+                exploit + k.snapshot.exploitation_decisions,
+            )
+        })
+}
+
+/// Phase 2: run the churn through a 2-node MAMUT fleet whose finished
+/// sessions publish to `store`, seeding every new session from it when
+/// `seeded`. The decisions the run's sessions made are what their
+/// publishes added to the store.
+fn run_fleet(store: &SharedKnowledgeStore, seeded: bool) -> FleetResult {
     let mut fleet = FleetSim::new(
         FleetConfig::default(),
         Box::new(LeastLoaded::new()),
@@ -104,27 +123,20 @@ fn run_fleet(store: Option<&SharedKnowledgeStore>) -> FleetResult {
     );
     for _ in 0..2 {
         let base = mamut_factory();
-        fleet.add_node(match store {
-            Some(s) => warm_start_factory(Arc::clone(s), base),
-            None => base,
+        fleet.add_node(if seeded {
+            warm_start_factory(Arc::clone(store), base)
+        } else {
+            base
         });
     }
-    if let Some(s) = store {
-        fleet.set_knowledge_store(Arc::clone(s));
-    }
+    fleet.set_knowledge_store(Arc::clone(store));
+    let before = mamut_decisions(store);
     let summary = fleet.run().expect("fleet run completes");
-    let (mut exploration, mut exploitation) = (0u64, 0u64);
-    for node in fleet.nodes() {
-        for session in node.server().sessions() {
-            let snap = session.controller().snapshot();
-            exploration += snap.exploration_decisions;
-            exploitation += snap.exploitation_decisions;
-        }
-    }
+    let after = mamut_decisions(store);
     FleetResult {
         summary,
-        exploration,
-        exploitation,
+        exploration: after.0 - before.0,
+        exploitation: after.1 - before.1,
     }
 }
 
@@ -133,8 +145,9 @@ fn main() {
     let store = train_store();
 
     println!("\n== phase 2: same churn workload, cold vs. store-seeded ==");
-    let cold = run_fleet(None);
-    let warm = run_fleet(Some(&store));
+    let sink = KnowledgeStore::new(MergePolicy::VisitWeighted).into_shared();
+    let cold = run_fleet(&sink, false);
+    let warm = run_fleet(&store, true);
 
     let fraction = |r: &FleetResult| {
         let total = r.exploration + r.exploitation;

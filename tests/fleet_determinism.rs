@@ -33,6 +33,16 @@ fn worker_counts(default: &[usize]) -> Vec<usize> {
     }
 }
 
+/// FNV-1a 64 of `bytes`: a short fingerprint of a knowledge store's
+/// encoding. Publishes are snapshots captured on worker threads, and
+/// merged Q-values are order-sensitive floats, so the store's bytes are
+/// compared across worker counts along with the summary.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 fn factory() -> mamut::fleet::ControllerFactory {
     Box::new(|req| {
         let threads = if req.hr { 10 } else { 4 };
@@ -146,11 +156,13 @@ fn learning_summary_text(workers: usize, seed: u64) -> String {
     fleet.set_knowledge_store(Arc::clone(&store));
     fleet.set_rebalancer(Box::new(UtilizationBalance::new().with_min_gap(0.1)));
     let summary = fleet.run().expect("fleet run completes");
+    let store = store.lock().unwrap();
     format!(
-        "{summary}migrations={} warm_starts={} store_publishes={}",
+        "{summary}migrations={} warm_starts={} store_publishes={} store_digest={:016x}",
         summary.migrations,
         summary.warm_starts,
-        store.lock().unwrap().publishes()
+        store.publishes(),
+        fnv1a(&store.encode())
     )
 }
 
@@ -244,12 +256,14 @@ fn elastic_summary_text(workers: usize) -> String {
         }),
     );
     let summary = fleet.run().expect("fleet run completes");
+    let store = store.lock().unwrap();
     format!(
-        "{summary}scale_ups={} scale_downs={} drained={} store_publishes={}",
+        "{summary}scale_ups={} scale_downs={} drained={} store_publishes={} store_digest={:016x}",
         summary.scale_ups,
         summary.scale_downs,
         summary.drained_sessions,
-        store.lock().unwrap().publishes()
+        store.publishes(),
+        fnv1a(&store.encode())
     )
 }
 

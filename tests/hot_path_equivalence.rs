@@ -9,6 +9,10 @@
 //! change, a migration, a boundary hit, a frequency cap set or lifted),
 //! stale aggregate or power term, or heap-vs-scan disagreement shows up
 //! here as a bit-level divergence.
+//! The incremental twin also archives every finished session after each
+//! epoch, as a fleet node does, while the oracle archives nothing and
+//! walks every slot in each rebuild: the engine's rebuild, which walks
+//! only the live slots, must not miss a session the oracle sees.
 //! Both modes share the anchored-work event semantics; the physics of
 //! that arithmetic are pinned separately by the hand-computation,
 //! epoch-slicing, migration and materialization tests in
@@ -86,10 +90,26 @@ fn build_server(sc: &Scenario, naive: bool) -> ServerSim {
     srv
 }
 
+/// Archives every finished session on `srv`.
+fn archive_finished(srv: &mut ServerSim) {
+    let finished: Vec<usize> = srv
+        .sessions()
+        .iter()
+        .filter(|s| s.is_finished())
+        .map(|s| s.id())
+        .collect();
+    for id in finished {
+        srv.archive_session(id)
+            .expect("a finished session archives");
+    }
+}
+
 /// Drives one engine flavour through the whole scenario: a `run_frames`
 /// lead-in, epoch-sliced advancement across two servers, a mid-run
 /// constraint change, a mid-run migration, and a throttle on server A
-/// that lifts a few epochs later. Returns everything observable.
+/// that lifts a few epochs later. The incremental flavour archives the
+/// finished sessions on both servers after every epoch. Returns
+/// everything observable.
 fn drive(sc: &Scenario, naive: bool) -> (RunSummary, RunSummary, u64, u64, u64) {
     let mut a = build_server(sc, naive);
     let mut b = ServerSim::with_default_platform();
@@ -109,6 +129,10 @@ fn drive(sc: &Scenario, naive: bool) -> (RunSummary, RunSummary, u64, u64, u64) 
         t += sc.epoch_s;
         a.run_epoch(t, 10_000_000).expect("epoch a");
         b.run_epoch(t, 10_000_000).expect("epoch b");
+        if !naive {
+            archive_finished(&mut a);
+            archive_finished(&mut b);
+        }
         if epoch == sc.throttle_epoch {
             a.set_freq_cap(Some(2.0));
         }
