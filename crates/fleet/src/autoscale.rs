@@ -550,6 +550,20 @@ impl ForecastScaler {
         }
         worst
     }
+
+    /// Records one boundary's arrivals: the predictor observes them and
+    /// their rate joins the trailing residence window. `plan` calls this
+    /// first; a caller sizing the pool itself calls it once per boundary
+    /// before [`ForecastScaler::planned_rate_hz`].
+    pub fn observe(&mut self, signals: &ScaleSignals) {
+        self.forecaster
+            .observe(signals.arrivals_due, signals.epoch_s);
+        let instant_hz = signals.arrivals_due as f64 / signals.epoch_s.max(1e-9);
+        self.recent_hz.push_back(instant_hz);
+        while self.recent_hz.len() as i64 > self.window_epochs(signals.epoch_s) {
+            self.recent_hz.pop_front();
+        }
+    }
 }
 
 impl Autoscaler for ForecastScaler {
@@ -560,13 +574,7 @@ impl Autoscaler for ForecastScaler {
     fn plan(&mut self, signals: &ScaleSignals) -> ScaleDecision {
         // The predictor observes every boundary, cooldown or not — a
         // seasonal model that skipped epochs would lose its phase.
-        self.forecaster
-            .observe(signals.arrivals_due, signals.epoch_s);
-        let instant_hz = signals.arrivals_due as f64 / signals.epoch_s.max(1e-9);
-        self.recent_hz.push_back(instant_hz);
-        while self.recent_hz.len() as i64 > self.window_epochs(signals.epoch_s) {
-            self.recent_hz.pop_front();
-        }
+        self.observe(signals);
         if cooling_down(self.last_scale_epoch, self.cooldown_epochs, signals.epoch) {
             return ScaleDecision::Hold;
         }

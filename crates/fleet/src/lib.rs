@@ -120,7 +120,7 @@ pub use node::{ControllerFactory, FleetNode, MigratedSession, NodeState};
 pub use rebalance::{MigrationDirective, PowerQosBalance, Rebalancer, UtilizationBalance};
 pub use shard::{ShardConfig, ShardedFleetSim, ShardedFleetSummary};
 pub use sim::{FleetConfig, FleetSim, NodeProvisioner};
-pub use summary::{FleetSummary, NodeFacts, NodeReport};
+pub use summary::{FleetSummary, NodeReport};
 pub use telemetry::{
     FleetTrace, TelemetryEvent, TelemetryMode, TracedEvent, COORDINATOR_LANE, TRACE_FORMAT,
 };

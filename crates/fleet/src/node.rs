@@ -99,8 +99,9 @@ fn qos_of(session: &TranscodeSession) -> (u64, u64) {
     (session.qos().frames(), session.qos().violations())
 }
 
-/// The power term of a session at `knobs` under `server`'s throttle cap:
-/// the load [`ServerSim::load`] sees for it.
+/// The power term of a session at `knobs` under `server`'s throttle cap
+/// (the knob frequency clamped to the cap before the DVFS snap, as the
+/// engine's rate rebuild does).
 fn term_at(server: &ServerSim, knobs: KnobSettings) -> PowerTerm {
     let freq = server
         .freq_cap_ghz()
@@ -141,7 +142,8 @@ pub struct FleetNode {
     /// Σ knob threads over `live`.
     threads_demanded: u32,
     /// Power draw of `live`: its kept terms folded in session-id order,
-    /// bit-identical to [`ServerSim::load`] once the queue is built.
+    /// bit-identical to [`Platform::power_draw`] over the server's
+    /// unfinished sessions once the queue is built.
     power_w: f64,
     /// Σ `(frames, violations)` − mark over `live`: QoS of the epoch
     /// just simulated.

@@ -96,8 +96,9 @@ impl ShardConfig {
 pub struct ShardedFleetSim {
     config: ShardConfig,
     shards: Vec<(String, FleetSim)>,
-    inter_shard_migrations: u64,
-    knowledge_syncs: u64,
+    /// The summary this run will return: cross-shard events are counted
+    /// straight into it, and `run` fills in the shard summaries.
+    report: ShardedFleetSummary,
     /// Coordinator copy of the fault plan: sync-loss and partition
     /// events execute here; node-level events run inside the shards.
     fault_plan: FaultPlan,
@@ -105,13 +106,9 @@ pub struct ShardedFleetSim {
     next_fault: usize,
     /// Upcoming sync rounds to suppress (injected sync loss).
     sync_loss_rounds: u64,
-    /// Sync rounds that were due but suppressed by injected sync loss.
-    sync_rounds_lost: u64,
     /// Partitioned shards as `(shard, until_epoch)`: cut off from
     /// overflow routing and knowledge sync (their nodes keep serving).
     partitions: Vec<(usize, u64)>,
-    /// Shard-epochs spent partitioned from the coordinator.
-    partition_epochs: u64,
     /// Coordinator-lane event recording (sync rounds, overflow routing);
     /// the per-shard timelines live inside the shards themselves.
     telemetry: TelemetryCollector,
@@ -121,8 +118,6 @@ impl std::fmt::Debug for ShardedFleetSim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedFleetSim")
             .field("shards", &self.shards.len())
-            .field("inter_shard_migrations", &self.inter_shard_migrations)
-            .field("knowledge_syncs", &self.knowledge_syncs)
             .finish_non_exhaustive()
     }
 }
@@ -134,14 +129,11 @@ impl ShardedFleetSim {
         ShardedFleetSim {
             config,
             shards: Vec::new(),
-            inter_shard_migrations: 0,
-            knowledge_syncs: 0,
+            report: ShardedFleetSummary::default(),
             fault_plan: FaultPlan::new(),
             next_fault: 0,
             sync_loss_rounds: 0,
-            sync_rounds_lost: 0,
             partitions: Vec::new(),
-            partition_epochs: 0,
             telemetry: TelemetryCollector::default(),
         }
     }
@@ -228,17 +220,9 @@ impl ShardedFleetSim {
         self.shards.len()
     }
 
-    /// Sessions moved across shard boundaries so far.
-    pub fn inter_shard_migrations(&self) -> u64 {
-        self.inter_shard_migrations
-    }
-
-    /// Knowledge-sync rounds performed so far.
-    pub fn knowledge_syncs(&self) -> u64 {
-        self.knowledge_syncs
-    }
-
     /// Runs every shard's workload to completion in lockstep epochs.
+    /// Each run reports its own cross-shard counts: they are counted
+    /// into a summary reset when the run starts.
     ///
     /// # Errors
     ///
@@ -249,6 +233,7 @@ impl ShardedFleetSim {
     /// [`FleetError::EpochBudgetExhausted`] when a shard's workload
     /// cannot drain within its epoch budget.
     pub fn run(&mut self) -> Result<ShardedFleetSummary, FleetError> {
+        self.report = ShardedFleetSummary::default();
         if self.shards.is_empty() {
             return Err(FleetError::NoNodes);
         }
@@ -288,7 +273,7 @@ impl ShardedFleetSim {
                 {
                     if self.sync_loss_rounds > 0 {
                         self.sync_loss_rounds -= 1;
-                        self.sync_rounds_lost += 1;
+                        self.report.sync_rounds_lost += 1;
                         self.record_coordinator(TelemetryEvent::SyncRoundLost);
                     } else {
                         let stores = self.sync_knowledge();
@@ -325,10 +310,7 @@ impl ShardedFleetSim {
             epochs,
             duration_s: epochs as f64 * epoch_s,
             shards,
-            inter_shard_migrations: self.inter_shard_migrations,
-            knowledge_syncs: self.knowledge_syncs,
-            sync_rounds_lost: self.sync_rounds_lost,
-            partition_epochs: self.partition_epochs,
+            ..std::mem::take(&mut self.report)
         })
     }
 
@@ -354,7 +336,7 @@ impl ShardedFleetSim {
                 _ => {} // node-level events belong to their shard
             }
         }
-        self.partition_epochs += self.partitions.len() as u64;
+        self.report.partition_epochs += self.partitions.len() as u64;
     }
 
     /// Shard indices currently cut off from coordination.
@@ -402,7 +384,7 @@ impl ShardedFleetSim {
             };
             let session = migrated.request.id;
             self.shards[target].1.overflow_attach(migrated);
-            self.inter_shard_migrations += 1;
+            self.report.inter_shard_migrations += 1;
             self.record_coordinator(TelemetryEvent::OverflowMigration {
                 session,
                 from_shard: source as u32,
@@ -447,7 +429,7 @@ impl ShardedFleetSim {
                 .expect("knowledge store poisoned")
                 .adopt_knowledge(&global);
         }
-        self.knowledge_syncs += 1;
+        self.report.knowledge_syncs += 1;
         stores.len()
     }
 }
@@ -457,7 +439,12 @@ impl ShardedFleetSim {
 /// The [`std::fmt::Display`] rendering prefixes every per-shard row with
 /// `shard=<name>` — including each shard's pool-size timeline — so a
 /// sharded run is debuggable from the summary alone.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Like each shard's [`FleetSummary`], it is the run's only tally of
+/// its counters: [`ShardedFleetSim::run`] resets one when it starts and
+/// counts overflow migrations, sync rounds (held or lost) and
+/// partitioned shard-epochs straight into it.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardedFleetSummary {
     /// Lockstep epochs simulated (identical across shards).
     pub epochs: u64,
@@ -716,10 +703,9 @@ mod tests {
         assert!(text.contains("cluster:"), "{text}");
     }
 
-    /// An overloaded one-node shard next to an idle one: the router must
-    /// shed sessions across the boundary and nothing may be lost.
-    #[test]
-    fn overflow_routes_sessions_from_hot_to_cold_shards() {
+    /// Six 600-frame HR sessions on a one-node shard next to an idle
+    /// two-node shard, under watermarks the hot shard crosses.
+    fn hot_and_cold() -> ShardedFleetSim {
         let hot_arrivals: Vec<SessionRequest> = (0..6)
             .map(|i| SessionRequest {
                 id: i,
@@ -730,7 +716,6 @@ mod tests {
                 seed: i,
             })
             .collect();
-        let expected_frames: u64 = hot_arrivals.iter().map(|r| r.frames).sum();
         let mut hot = FleetSim::new(
             FleetConfig::default(),
             Box::new(LeastLoaded::new()),
@@ -744,12 +729,19 @@ mod tests {
         );
         cold.add_node(fixed_factory());
         cold.add_node(fixed_factory());
-
         let mut sharded =
             ShardedFleetSim::new(ShardConfig::default().with_overflow_watermarks(0.5, 0.9));
         sharded.add_shard("hot", hot);
         sharded.add_shard("cold", cold);
-        let summary = sharded.run().unwrap();
+        sharded
+    }
+
+    /// An overloaded one-node shard next to an idle one: the router must
+    /// shed sessions across the boundary and nothing may be lost.
+    #[test]
+    fn overflow_routes_sessions_from_hot_to_cold_shards() {
+        let expected_frames = 6 * 600;
+        let summary = hot_and_cold().run().unwrap();
         assert!(
             summary.inter_shard_migrations > 0,
             "the hot shard never shed load: {summary}"
@@ -772,6 +764,20 @@ mod tests {
         );
         let text = summary.to_string();
         assert!(text.contains("inter-shard migrations"), "{text}");
+    }
+
+    #[test]
+    fn a_rerun_reports_only_its_own_cross_shard_counts() {
+        let mut sharded = hot_and_cold();
+        let first = sharded.run().unwrap();
+        assert_eq!(first.inter_shard_migrations, 3, "{first}");
+        // The first run drained both workloads: the second has no live
+        // session to route, and must not repeat the first run's count.
+        let second = sharded.run().unwrap();
+        assert_eq!(second.inter_shard_migrations, 0, "{second}");
+        assert_eq!(second.knowledge_syncs, 0);
+        assert_eq!(second.sync_rounds_lost, 0);
+        assert_eq!(second.partition_epochs, 0);
     }
 
     #[test]
@@ -925,33 +931,7 @@ mod tests {
     #[test]
     fn partitioned_shards_are_cut_off_from_overflow() {
         let build = |plan: Option<crate::fault::FaultPlan>| {
-            let hot_arrivals: Vec<SessionRequest> = (0..6)
-                .map(|i| SessionRequest {
-                    id: i,
-                    arrival_s: 0.1 * i as f64,
-                    hr: true,
-                    live: false,
-                    frames: 600,
-                    seed: i,
-                })
-                .collect();
-            let mut hot = FleetSim::new(
-                FleetConfig::default(),
-                Box::new(LeastLoaded::new()),
-                Workload::replay(hot_arrivals),
-            );
-            hot.add_node(fixed_factory());
-            let mut cold = FleetSim::new(
-                FleetConfig::default(),
-                Box::new(LeastLoaded::new()),
-                Workload::replay(Vec::new()),
-            );
-            cold.add_node(fixed_factory());
-            cold.add_node(fixed_factory());
-            let mut sharded =
-                ShardedFleetSim::new(ShardConfig::default().with_overflow_watermarks(0.5, 0.9));
-            sharded.add_shard("hot", hot);
-            sharded.add_shard("cold", cold);
+            let mut sharded = hot_and_cold();
             if let Some(plan) = plan {
                 sharded.set_fault_plan(plan);
             }

@@ -37,14 +37,14 @@ use std::sync::Arc;
 use mamut_metrics::fleet::FleetAggregate;
 use mamut_platform::Platform;
 
-use crate::autoscale::{Autoscaler, ScaleDecision, ScaleSignals};
+use crate::autoscale::{Autoscaler, PolicySource, ScaleDecision, ScaleSignals};
 use crate::dispatch::{cmp_utilization, DispatchDecision, Dispatcher, NodeView};
 use crate::error::FleetError;
 use crate::fault::{CheckpointBundle, CheckpointPolicy, FaultEvent, FaultPlan, NodeCheckpoint};
 use crate::knowledge::{warm_start_factory, SharedKnowledgeStore};
 use crate::node::{ControllerFactory, FleetNode, MigratedSession};
 use crate::rebalance::Rebalancer;
-use crate::summary::{FleetSummary, NodeFacts};
+use crate::summary::{FleetSummary, NodeReport};
 use crate::telemetry::{FleetTrace, TelemetryCollector, TelemetryEvent, TelemetryMode};
 use crate::workload::{SessionRequest, Workload};
 
@@ -111,7 +111,16 @@ pub struct FleetSim {
     nodes: Vec<FleetNode>,
     pending: VecDeque<SessionRequest>,
     queued: VecDeque<SessionRequest>,
+    /// What the run derives from node-epoch samples: per-node rows, the
+    /// pool timeline, utilization and tail ledgers.
     aggregate: FleetAggregate,
+    /// The summary this run will return. Events are counted straight
+    /// into it as they happen, and fault marks land in its
+    /// `phase_marks`; `finish_run` fills in the derived fields.
+    report: FleetSummary,
+    /// Sum of crash-to-service epochs over this run's recoveries (the
+    /// MTTR numerator).
+    recovery_epochs: u64,
     epoch: u64,
     rebalancer: Option<Box<dyn Rebalancer>>,
     knowledge: Option<SharedKnowledgeStore>,
@@ -136,10 +145,7 @@ pub struct FleetSim {
     throttles: Vec<(usize, u64)>,
     /// Cursor into the fault plan's (epoch-sorted) event list.
     next_fault: usize,
-    /// Structured event recording (off by default). Also owns the
-    /// crash/throttle/recovery marks faults emit — those are kept in
-    /// every mode and merged with the scenario's phase marks into the
-    /// summary timeline.
+    /// Structured event recording (off by default).
     telemetry: TelemetryCollector,
     /// Encoded flight-recorder dump captured automatically when a typed
     /// error aborted the last `run` (None after a clean run).
@@ -172,6 +178,8 @@ impl FleetSim {
             queued: VecDeque::new(),
             nodes: Vec::new(),
             aggregate: FleetAggregate::default(),
+            report: FleetSummary::default(),
+            recovery_epochs: 0,
             epoch: 0,
             rebalancer: None,
             knowledge: None,
@@ -378,6 +386,9 @@ impl FleetSim {
 
     /// Runs the whole workload to completion: every arrival dispatched
     /// (or rejected), every admitted session transcoded to the end.
+    /// Returns the summary the run counted its events into: each run
+    /// starts from a fresh one, so its counts and fault marks are this
+    /// run's alone.
     ///
     /// # Errors
     ///
@@ -431,6 +442,8 @@ impl FleetSim {
             )));
         }
         self.aggregate = FleetAggregate::new(self.nodes.len());
+        self.report = FleetSummary::default();
+        self.recovery_epochs = 0;
         self.seeds_at_start = self.seeds_served();
         self.checkpoint = None;
         self.pending_replacements.clear();
@@ -457,8 +470,8 @@ impl FleetSim {
                 },
             );
             // Scenario phase boundaries land in the trace at their epoch
-            // (they stay a separate summary input — only fault marks go
-            // through `record_mark`).
+            // (they stay a separate summary input — only fault marks are
+            // counted into the report as they fire).
             for (epoch, label) in &self.phase_marks {
                 if *epoch == self.epoch {
                     self.telemetry.record(
@@ -541,37 +554,74 @@ impl FleetSim {
             && self.nodes.iter().all(FleetNode::all_finished)
     }
 
-    /// Assembles the run report.
+    /// Completes the run's report: the counts gathered as events
+    /// happened, plus the fields derived from the node-epoch aggregate,
+    /// the nodes and the knowledge store.
     pub(crate) fn finish_run(&mut self) -> FleetSummary {
-        self.aggregate
-            .set_warm_starts(self.seeds_served() - self.seeds_at_start);
-        let facts: Vec<NodeFacts> = self
+        let mut report = std::mem::take(&mut self.report);
+        // Fault marks were counted in firing order; interleave them with
+        // the scenario's pre-sorted phase marks by epoch.
+        let mut marks = self.phase_marks.clone();
+        marks.append(&mut report.phase_marks);
+        marks.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+        let agg = &self.aggregate;
+        let nodes = self
             .nodes
             .iter()
-            .map(|n| NodeFacts {
-                sessions: n.sessions_admitted(),
-                migrated_in: n.sessions_migrated_in(),
-                migrated_out: n.sessions_migrated_out(),
-                retired: !n.is_active(),
+            .zip(&agg.nodes)
+            .map(|(node, n)| NodeReport {
+                node_id: node.id(),
+                sessions: node.sessions_admitted(),
+                migrated_in: node.sessions_migrated_in(),
+                migrated_out: node.sessions_migrated_out(),
+                retired: !node.is_active(),
+                frames: n.frames,
+                violation_percent: n.violation_percent(),
+                mean_power_w: n.mean_power_w(),
+                energy_j: n.energy_j,
+                mean_utilization: n.utilization.mean(),
+                qos_slack_p95: n.tail.qos_slack_percentiles(&[95.0])[0],
+                frame_latency_p99_ms: n.tail.frame_latency_percentiles_ms(&[99.0])[0],
             })
             .collect();
-        // Crash/recovery marks were recorded as faults fired (kept in
-        // every telemetry mode); interleave them with the scenario's
-        // pre-sorted phase marks by epoch.
-        let mut marks = self.phase_marks.clone();
-        marks.extend(self.telemetry.marks().iter().cloned());
-        marks.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        let mut summary = FleetSummary::assemble(
-            self.dispatcher.name().to_owned(),
-            self.epoch,
-            self.epoch as f64 * self.config.epoch_s,
-            &facts,
-            &self.aggregate,
-            marks,
-            self.nodes.iter().map(FleetNode::summary).collect(),
-        );
-        summary.trace_events = self.telemetry.events_recorded();
-        summary
+        let demanded = agg.node_epochs + report.down_node_epochs;
+        let slack = agg.tail.qos_slack_percentiles(&[50.0, 95.0, 99.0]);
+        let latency = agg.tail.frame_latency_percentiles_ms(&[95.0, 99.0]);
+        FleetSummary {
+            policy: self.dispatcher.name().to_owned(),
+            epochs: self.epoch,
+            duration_s: self.epoch as f64 * self.config.epoch_s,
+            nodes,
+            cluster_violation_percent: agg.cluster_violation_percent(),
+            mean_power_w: agg.mean_power_w(),
+            total_energy_j: agg.total_energy_j(),
+            total_frames: agg.total_frames(),
+            total_sessions: self.nodes.iter().map(FleetNode::sessions_admitted).sum(),
+            warm_starts: self.seeds_served() - self.seeds_at_start,
+            node_epochs: agg.node_epochs,
+            peak_nodes: agg.peak_nodes(),
+            pool_timeline: agg.pool_timeline.clone(),
+            phase_marks: marks,
+            utilization: agg.utilization.clone(),
+            availability_percent: if demanded == 0 {
+                100.0
+            } else {
+                100.0 * agg.node_epochs as f64 / demanded as f64
+            },
+            mean_mttr_epochs: if report.recoveries == 0 {
+                0.0
+            } else {
+                self.recovery_epochs as f64 / report.recoveries as f64
+            },
+            qos_slack_p50: slack[0],
+            qos_slack_p95: slack[1],
+            qos_slack_p99: slack[2],
+            frame_latency_p95_ms: latency[0],
+            frame_latency_p99_ms: latency[1],
+            trace_events: self.telemetry.events_recorded(),
+            node_runs: self.nodes.iter().map(FleetNode::summary).collect(),
+            ..report
+        }
     }
 
     /// Epochs simulated so far.
@@ -655,11 +705,19 @@ impl FleetSim {
         let scaler = self.autoscaler.as_mut().expect("presence checked above");
         let decision = scaler.plan(&signals);
         let source = scaler.decision_source();
-        self.aggregate.record_policy_decision(
-            source != crate::autoscale::PolicySource::Heuristic,
-            source == crate::autoscale::PolicySource::Exploratory,
-            decision != ScaleDecision::Hold,
-        );
+        match source {
+            PolicySource::Heuristic => self.report.heuristic_decisions += 1,
+            PolicySource::Greedy => self.report.greedy_actions += 1,
+            PolicySource::Exploratory => self.report.exploratory_actions += 1,
+        }
+        if decision != ScaleDecision::Hold {
+            match source {
+                PolicySource::Heuristic => self.report.heuristic_scale_events += 1,
+                PolicySource::Greedy | PolicySource::Exploratory => {
+                    self.report.learned_scale_events += 1
+                }
+            }
+        }
         if self.telemetry.enabled() {
             let delta = match decision {
                 ScaleDecision::Hold => 0,
@@ -715,7 +773,7 @@ impl FleetSim {
                 .map_err(|source| FleetError::Node { node: id, source })?;
             self.nodes.push(node);
             self.aggregate.ensure_nodes(self.nodes.len());
-            self.aggregate.record_scale_up();
+            self.report.scale_ups += 1;
             self.telemetry.record(
                 self.epoch,
                 self.epoch_us(self.epoch),
@@ -755,7 +813,7 @@ impl FleetSim {
                 .least_utilized(Some(victim))
                 .expect("pool never drains below one active node");
             self.nodes[target].attach_session(migrated);
-            self.aggregate.record_drained_session();
+            self.report.drained_sessions += 1;
             if self.telemetry.enabled() {
                 let at_us = self.epoch_us(self.epoch);
                 self.telemetry.record(
@@ -781,7 +839,7 @@ impl FleetSim {
         // departed frames would be counted on both rows.
         self.resample_node_totals(victim);
         self.nodes[victim].retire()?;
-        self.aggregate.record_scale_down();
+        self.report.scale_downs += 1;
         self.telemetry.record(
             self.epoch,
             self.epoch_us(self.epoch),
@@ -837,7 +895,7 @@ impl FleetSim {
             },
         );
         self.checkpoint = Some(encoded);
-        self.aggregate.record_checkpoint();
+        self.report.checkpoints += 1;
     }
 
     /// Executes the fault plan's events due this epoch plus the ongoing
@@ -868,12 +926,9 @@ impl FleetSim {
             let before = self.nodes.len();
             self.commission_nodes(1, epoch_start)?;
             if self.nodes.len() > before {
-                self.telemetry.record_mark(
-                    self.epoch,
-                    self.epoch_us(self.epoch),
-                    format!("recovered:n{before}"),
-                );
-                self.aggregate.record_recovery(self.epoch - crashed_at);
+                self.mark_fault(format!("recovered:n{before}"));
+                self.report.recoveries += 1;
+                self.recovery_epochs += self.epoch - crashed_at;
             }
         }
         // 2. Expired throttles are lifted.
@@ -913,19 +968,17 @@ impl FleetSim {
                     self.nodes[node].set_freq_cap(Some(freq_cap_ghz));
                     let until_epoch = self.epoch + duration_epochs.max(1);
                     self.throttles.push((node, until_epoch));
-                    let at_us = self.epoch_us(self.epoch);
-                    self.telemetry
-                        .record_mark(self.epoch, at_us, format!("throttle:n{node}"));
+                    self.mark_fault(format!("throttle:n{node}"));
                     self.telemetry.record(
                         self.epoch,
-                        at_us,
+                        self.epoch_us(self.epoch),
                         TelemetryEvent::ThrottleStart {
                             node: node as u32,
                             freq_cap_ghz,
                             until_epoch,
                         },
                     );
-                    self.aggregate.record_throttle();
+                    self.report.throttles += 1;
                 }
                 // Coordinator-level events (and events addressed to other
                 // shards) are not this fleet's to execute.
@@ -934,10 +987,25 @@ impl FleetSim {
         }
         // 4. Availability accounting: each crashed node still awaiting
         //    its replacement is one demanded-but-unserved node-epoch.
-        for _ in 0..self.pending_replacements.len() {
-            self.aggregate.record_down_node_epoch();
-        }
+        self.report.down_node_epochs += self.pending_replacements.len() as u64;
         Ok(())
+    }
+
+    /// Records a fault mark (`crash:`, `throttle:` or `recovered:` plus
+    /// the node) at this epoch: kept in the run's summary in every
+    /// telemetry mode, and traced as a [`TelemetryEvent::Mark`] when
+    /// tracing is on.
+    fn mark_fault(&mut self, label: String) {
+        if self.telemetry.enabled() {
+            self.telemetry.record(
+                self.epoch,
+                self.epoch_us(self.epoch),
+                TelemetryEvent::Mark {
+                    label: label.clone(),
+                },
+            );
+        }
+        self.report.phase_marks.push((self.epoch, label));
     }
 
     /// Fail-stop crash of `node`: its live sessions die with it and are
@@ -956,11 +1024,7 @@ impl FleetSim {
         }
         let lost = self.nodes[victim].crash_kill()?;
         self.throttles.retain(|&(node, _)| node != victim);
-        self.telemetry.record_mark(
-            self.epoch,
-            self.epoch_us(self.epoch),
-            format!("crash:n{victim}"),
-        );
+        self.mark_fault(format!("crash:n{victim}"));
         self.telemetry.record(
             self.epoch,
             self.epoch_us(self.epoch),
@@ -969,7 +1033,7 @@ impl FleetSim {
                 sessions_lost: lost.len() as u32,
             },
         );
-        self.aggregate.record_crash();
+        self.report.crashes += 1;
         let bundle = self
             .checkpoint
             .as_ref()
@@ -1004,7 +1068,8 @@ impl FleetSim {
                     from_checkpoint: restored,
                 },
             );
-            self.aggregate.record_recovered_session(redone);
+            self.report.sessions_recovered += 1;
+            self.report.frames_redone += redone;
         }
         // The victim's row keeps only what stayed: finished sessions'
         // history. Its dead sessions' QoS moved (or restarted) elsewhere.
@@ -1107,7 +1172,7 @@ impl FleetSim {
             // hosts it then — so visit-weighted merges never count a
             // trajectory twice.
             self.nodes[to].attach_session(migrated);
-            self.aggregate.record_migration();
+            self.report.migrations += 1;
             if self.telemetry.enabled() {
                 // Rebalance runs after this epoch's advance: the move
                 // happens at the *next* boundary.
@@ -1160,8 +1225,8 @@ impl FleetSim {
                         session: request.id,
                     },
                 );
-                self.aggregate.record_shed_session();
-                self.aggregate.record_rejection();
+                self.report.shed_sessions += 1;
+                self.report.rejected_sessions += 1;
             }
             return Ok(());
         }
@@ -1208,7 +1273,7 @@ impl FleetSim {
                             session: request.id,
                         },
                     );
-                    self.aggregate.record_rejection();
+                    self.report.rejected_sessions += 1;
                 }
                 DispatchDecision::Queue => {
                     self.telemetry.record(
@@ -1218,7 +1283,7 @@ impl FleetSim {
                             session: request.id,
                         },
                     );
-                    self.aggregate.record_queued_wait();
+                    self.report.queued_waits += 1;
                     self.queued.push_back(request);
                 }
             }
@@ -1765,6 +1830,68 @@ mod tests {
         let stepped = step_to_completion(&mut fleet(4, 1, Box::new(RoundRobin::new())), |_| {});
         let whole = fleet(4, 1, Box::new(RoundRobin::new())).run().unwrap();
         assert_eq!(stepped, whole);
+    }
+
+    /// Replays a fixed `(decision, source)` script, one entry per epoch
+    /// boundary, reporting each entry's source as its provenance.
+    struct Scripted {
+        script: VecDeque<(ScaleDecision, PolicySource)>,
+        source: PolicySource,
+    }
+    impl Autoscaler for Scripted {
+        fn name(&self) -> &'static str {
+            "scripted"
+        }
+        fn plan(&mut self, _signals: &ScaleSignals) -> ScaleDecision {
+            let (decision, source) = self.script.pop_front().expect("one entry per epoch");
+            self.source = source;
+            decision
+        }
+        fn decision_source(&self) -> PolicySource {
+            self.source
+        }
+    }
+
+    #[test]
+    fn policy_decisions_count_by_source_and_scale_events_by_learner() {
+        use PolicySource::{Exploratory, Greedy, Heuristic};
+        use ScaleDecision::{Grow, Hold, Shrink};
+        let script = [
+            (Hold, Heuristic),
+            (Grow(1), Heuristic),
+            (Hold, Greedy),
+            (Grow(1), Greedy),
+            (Shrink(1), Exploratory),
+            (Hold, Heuristic),
+            (Hold, Greedy),
+            (Shrink(1), Exploratory),
+            (Hold, Greedy),
+            (Hold, Heuristic),
+            (Hold, Greedy),
+        ];
+        let mut sim = fleet(2, 1, Box::new(LeastLoaded::new()));
+        let scaler = Scripted {
+            script: script.into(),
+            source: Heuristic,
+        };
+        sim.set_autoscaler(Box::new(scaler), provisioner());
+        sim.begin_run().unwrap();
+        for _ in 0..script.len() {
+            sim.step_epoch().unwrap();
+        }
+        let summary = sim.finish_run();
+        assert_eq!(summary.heuristic_decisions, 4);
+        assert_eq!(summary.greedy_actions, 5);
+        assert_eq!(summary.exploratory_actions, 2);
+        assert_eq!(summary.learned_scale_events, 3, "greedy grow, two shrinks");
+        assert_eq!(summary.heuristic_scale_events, 1);
+        let text = summary.to_string();
+        assert!(
+            text.contains(
+                "policy: 5 greedy / 2 exploratory decisions | scale events: 3 learned, 1 heuristic"
+            ),
+            "{text}"
+        );
     }
 
     use crate::fault::{CheckpointPolicy, FaultPlan};

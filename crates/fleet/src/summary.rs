@@ -1,25 +1,10 @@
 //! Fleet-level run report: per-node rows plus cluster-wide aggregates.
 
-use mamut_metrics::fleet::FleetAggregate;
 use mamut_metrics::{Align, Table, UtilizationHistogram};
 use mamut_transcode::RunSummary;
 
-/// Per-node lifetime facts the fleet hands to the summary assembly
-/// alongside the metric aggregate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NodeFacts {
-    /// Sessions admitted over the node's lifetime.
-    pub sessions: u64,
-    /// Sessions received from peers via migration (rebalance or drain).
-    pub migrated_in: u64,
-    /// Sessions handed off to peers via migration (rebalance or drain).
-    pub migrated_out: u64,
-    /// Whether the autoscaler retired this node before the run ended.
-    pub retired: bool,
-}
-
 /// One node's row in a [`FleetSummary`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NodeReport {
     /// Node id.
     pub node_id: usize,
@@ -54,7 +39,16 @@ pub struct NodeReport {
 /// determinism tests compare byte-for-byte (the [`std::fmt::Display`]
 /// rendering contains only virtual-time quantities — never wall-clock —
 /// so it is identical across runs and worker-thread counts).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The summary is also the run's only tally: [`FleetSim`] resets one at
+/// the start of each run and counts every event (rejection, migration,
+/// scale event, policy decision, fault, checkpoint, fault mark) straight
+/// into it as it happens. At the end of the run it fills in the derived
+/// fields: node rows, cluster ∆/power/energy, percentiles, availability
+/// and MTTR.
+///
+/// [`FleetSim`]: crate::FleetSim
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetSummary {
     /// Dispatch policy that drove the run.
     pub policy: String,
@@ -96,11 +90,13 @@ pub struct FleetSummary {
     pub peak_nodes: usize,
     /// Active-pool-size change points as `(epoch, size)`.
     pub pool_timeline: Vec<(u64, usize)>,
-    /// Scenario phase boundaries as `(epoch, label)`, rendered inline in
-    /// the pool-size timeline so autoscaler behavior is legible against
-    /// the workload phase that drove it. Empty unless the run was driven
-    /// by an annotated scenario (see
-    /// [`FleetSim::set_phase_marks`](crate::FleetSim::set_phase_marks)).
+    /// Scenario phase boundaries (see
+    /// [`FleetSim::set_phase_marks`](crate::FleetSim::set_phase_marks))
+    /// and fault marks (`crash:n<id>`, `throttle:n<id>`,
+    /// `recovered:n<id>`) as `(epoch, label)`, sorted by epoch then
+    /// label. They are rendered inline in the pool-size timeline, so
+    /// autoscaler behavior is legible against the phase or fault that
+    /// drove it. Empty for an unannotated, fault-free run.
     pub phase_marks: Vec<(u64, String)>,
     /// Node-epoch utilization histogram.
     pub utilization: UtilizationHistogram,
@@ -168,88 +164,6 @@ pub struct FleetSummary {
 }
 
 impl FleetSummary {
-    /// Assembles the report from the aggregate and per-node summaries.
-    pub(crate) fn assemble(
-        policy: String,
-        epochs: u64,
-        duration_s: f64,
-        node_facts: &[NodeFacts],
-        aggregate: &FleetAggregate,
-        phase_marks: Vec<(u64, String)>,
-        node_runs: Vec<RunSummary>,
-    ) -> FleetSummary {
-        let nodes = aggregate
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(id, n)| {
-                let facts = node_facts.get(id).copied().unwrap_or_default();
-                NodeReport {
-                    node_id: id,
-                    sessions: facts.sessions,
-                    migrated_in: facts.migrated_in,
-                    migrated_out: facts.migrated_out,
-                    retired: facts.retired,
-                    frames: n.frames,
-                    violation_percent: n.violation_percent(),
-                    mean_power_w: n.mean_power_w(),
-                    energy_j: n.energy_j,
-                    mean_utilization: n.utilization.mean(),
-                    qos_slack_p95: n.tail.qos_slack_percentiles(&[95.0])[0],
-                    frame_latency_p99_ms: n.tail.frame_latency_percentiles_ms(&[99.0])[0],
-                }
-            })
-            .collect();
-        let slack = aggregate.tail.qos_slack_percentiles(&[50.0, 95.0, 99.0]);
-        let latency = aggregate.tail.frame_latency_percentiles_ms(&[95.0, 99.0]);
-        FleetSummary {
-            policy,
-            epochs,
-            duration_s,
-            nodes,
-            cluster_violation_percent: aggregate.cluster_violation_percent(),
-            mean_power_w: aggregate.mean_power_w(),
-            total_energy_j: aggregate.total_energy_j(),
-            total_frames: aggregate.total_frames(),
-            total_sessions: node_facts.iter().map(|f| f.sessions).sum(),
-            rejected_sessions: aggregate.rejected_sessions,
-            queued_waits: aggregate.queued_waits,
-            migrations: aggregate.migrations,
-            warm_starts: aggregate.warm_starts,
-            scale_ups: aggregate.scale_ups,
-            scale_downs: aggregate.scale_downs,
-            drained_sessions: aggregate.drained_sessions,
-            node_epochs: aggregate.node_epochs,
-            peak_nodes: aggregate.peak_nodes(),
-            pool_timeline: aggregate.pool_timeline.clone(),
-            phase_marks,
-            utilization: aggregate.utilization.clone(),
-            greedy_actions: aggregate.greedy_actions,
-            exploratory_actions: aggregate.exploratory_actions,
-            heuristic_decisions: aggregate.heuristic_decisions,
-            learned_scale_events: aggregate.learned_scale_events,
-            heuristic_scale_events: aggregate.heuristic_scale_events,
-            crashes: aggregate.crashes,
-            throttles: aggregate.throttles,
-            sessions_recovered: aggregate.sessions_recovered,
-            frames_redone: aggregate.frames_redone,
-            frames_lost: aggregate.frames_lost,
-            shed_sessions: aggregate.shed_sessions,
-            down_node_epochs: aggregate.down_node_epochs,
-            recoveries: aggregate.recoveries,
-            checkpoints: aggregate.checkpoints,
-            availability_percent: aggregate.availability_percent(),
-            mean_mttr_epochs: aggregate.mean_mttr_epochs(),
-            qos_slack_p50: slack[0],
-            qos_slack_p95: slack[1],
-            qos_slack_p99: slack[2],
-            frame_latency_p95_ms: latency[0],
-            frame_latency_p99_ms: latency[1],
-            trace_events: 0,
-            node_runs,
-        }
-    }
-
     /// The per-node table rendered in [`std::fmt::Display`]. Retired
     /// nodes carry a `†` marker; the migration columns count sessions
     /// received from (`mig+`) and handed to (`mig-`) peers, whether by
@@ -431,95 +345,62 @@ impl std::fmt::Display for FleetSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mamut_metrics::fleet::FleetAggregate;
 
-    fn facts(sessions: u64) -> NodeFacts {
-        NodeFacts {
+    fn node(node_id: usize, sessions: u64, frames: u64, violation_percent: f64) -> NodeReport {
+        NodeReport {
+            node_id,
             sessions,
-            ..NodeFacts::default()
+            frames,
+            violation_percent,
+            ..NodeReport::default()
         }
     }
 
+    /// A fixed two-node pool: 400 frames at 10 % ∆ plus 100 on time.
     fn sample() -> FleetSummary {
-        let mut agg = FleetAggregate::new(2);
-        agg.record_node_epoch(0, 400, 40, 800.0, 10.0, 0.5);
-        agg.record_node_epoch(1, 100, 0, 600.0, 10.0, 0.25);
-        agg.record_rejection();
-        agg.record_pool_size(0, 2);
-        FleetSummary::assemble(
-            "least-loaded".into(),
-            10,
-            10.0,
-            &[facts(3), facts(2)],
-            &agg,
-            Vec::new(),
-            Vec::new(),
-        )
+        FleetSummary {
+            policy: "least-loaded".into(),
+            epochs: 10,
+            duration_s: 10.0,
+            nodes: vec![node(0, 3, 400, 10.0), node(1, 2, 100, 0.0)],
+            cluster_violation_percent: 8.0,
+            mean_power_w: 70.0,
+            total_energy_j: 1_400.0,
+            total_frames: 500,
+            total_sessions: 5,
+            rejected_sessions: 1,
+            node_epochs: 2,
+            peak_nodes: 2,
+            pool_timeline: vec![(0, 2)],
+            availability_percent: 100.0,
+            ..FleetSummary::default()
+        }
     }
 
+    /// An elastic pool that grew to two nodes, then drained node 0 into
+    /// node 1 and retired it.
     fn elastic_sample() -> FleetSummary {
-        let mut agg = FleetAggregate::new(1);
-        agg.record_node_epoch(0, 400, 40, 800.0, 10.0, 0.5);
-        agg.ensure_nodes(2);
-        agg.record_node_epoch(1, 100, 0, 600.0, 10.0, 0.25);
-        agg.record_pool_size(0, 1);
-        agg.record_pool_size(3, 2);
-        agg.record_pool_size(8, 1);
-        agg.record_scale_up();
-        agg.record_scale_down();
-        agg.record_drained_session();
-        agg.record_drained_session();
-        agg.record_migration();
-        let node0 = NodeFacts {
-            sessions: 3,
-            migrated_in: 0,
-            migrated_out: 2,
-            retired: true,
-        };
-        let node1 = NodeFacts {
-            sessions: 1,
-            migrated_in: 2,
-            migrated_out: 0,
-            retired: false,
-        };
-        FleetSummary::assemble(
-            "least-loaded".into(),
-            10,
-            10.0,
-            &[node0, node1],
-            &agg,
-            Vec::new(),
-            Vec::new(),
-        )
-    }
-
-    #[test]
-    fn assemble_computes_cluster_rows() {
-        let s = sample();
-        assert_eq!(s.nodes.len(), 2);
-        assert_eq!(s.total_sessions, 5);
-        assert_eq!(s.total_frames, 500);
-        assert_eq!(s.rejected_sessions, 1);
-        assert!((s.cluster_violation_percent - 8.0).abs() < 1e-12);
-        assert!((s.mean_power_w - 70.0).abs() < 1e-12);
-        assert!((s.nodes[0].violation_percent - 10.0).abs() < 1e-12);
-        assert_eq!(s.node_epochs, 2);
-        assert_eq!(s.peak_nodes, 2);
-        assert_eq!(s.pool_timeline, vec![(0, 2)]);
-    }
-
-    #[test]
-    fn assemble_carries_autoscale_and_migration_facts() {
-        let s = elastic_sample();
-        assert_eq!(s.scale_ups, 1);
-        assert_eq!(s.scale_downs, 1);
-        assert_eq!(s.drained_sessions, 2);
-        assert_eq!(s.migrations, 1);
-        assert_eq!(s.peak_nodes, 2);
-        assert!(s.nodes[0].retired);
-        assert_eq!(s.nodes[0].migrated_out, 2);
-        assert_eq!(s.nodes[1].migrated_in, 2);
-        assert!(!s.nodes[1].retired);
+        FleetSummary {
+            nodes: vec![
+                NodeReport {
+                    migrated_out: 2,
+                    retired: true,
+                    ..node(0, 3, 400, 10.0)
+                },
+                NodeReport {
+                    migrated_in: 2,
+                    ..node(1, 1, 100, 0.0)
+                },
+            ],
+            total_sessions: 4,
+            rejected_sessions: 0,
+            migrations: 1,
+            scale_ups: 1,
+            scale_downs: 1,
+            drained_sessions: 2,
+            pool_timeline: vec![(0, 1), (3, 2), (8, 1)],
+            ..sample()
+        }
     }
 
     #[test]
@@ -534,9 +415,8 @@ mod tests {
 
     #[test]
     fn display_renders_every_counter() {
-        // Satellite of PR 3: migration, warm-start and autoscale
-        // counters must all be visible in the rendered summary, not just
-        // in the struct.
+        // Migration, warm-start and autoscale counters must all be
+        // visible in the rendered summary, not just in the struct.
         let text = elastic_sample().to_string();
         assert!(text.contains("1 migrated"), "{text}");
         assert!(text.contains("warm-started"), "{text}");
@@ -559,38 +439,20 @@ mod tests {
     fn policy_counters_render_only_for_learned_runs() {
         // Heuristic runs (even with heuristic decisions recorded) keep
         // their historical rendering…
-        let mut agg = FleetAggregate::new(1);
-        agg.record_node_epoch(0, 100, 0, 100.0, 1.0, 0.5);
-        agg.record_policy_decision(false, false, true);
-        let heuristic = FleetSummary::assemble(
-            "rl".into(),
-            1,
-            1.0,
-            &[facts(1)],
-            &agg,
-            Vec::new(),
-            Vec::new(),
-        );
-        assert_eq!(heuristic.heuristic_decisions, 1);
-        assert_eq!(heuristic.heuristic_scale_events, 1);
+        let heuristic = FleetSummary {
+            heuristic_decisions: 1,
+            heuristic_scale_events: 1,
+            ..sample()
+        };
         assert!(!heuristic.to_string().contains("policy:"), "{heuristic}");
         // …while a learned run gets the greedy/exploratory split and the
         // scale-event attribution.
-        agg.record_policy_decision(true, false, true);
-        agg.record_policy_decision(true, true, false);
-        agg.record_policy_decision(true, false, false);
-        let learned = FleetSummary::assemble(
-            "rl".into(),
-            4,
-            4.0,
-            &[facts(1)],
-            &agg,
-            Vec::new(),
-            Vec::new(),
-        );
-        assert_eq!(learned.greedy_actions, 2);
-        assert_eq!(learned.exploratory_actions, 1);
-        assert_eq!(learned.learned_scale_events, 1);
+        let learned = FleetSummary {
+            greedy_actions: 2,
+            exploratory_actions: 1,
+            learned_scale_events: 1,
+            ..heuristic
+        };
         let text = learned.to_string();
         assert!(
             text.contains("policy: 2 greedy / 1 exploratory decisions"),
@@ -606,44 +468,26 @@ mod tests {
     fn fault_block_renders_only_for_chaos_runs() {
         // A fault-free run (even a checkpointed one) keeps its
         // historical rendering…
-        let mut agg = FleetAggregate::new(2);
-        agg.record_node_epoch(0, 400, 40, 800.0, 10.0, 0.5);
-        agg.record_node_epoch(1, 100, 0, 600.0, 10.0, 0.25);
-        agg.record_checkpoint();
-        let quiet = FleetSummary::assemble(
-            "least-loaded".into(),
-            10,
-            10.0,
-            &[facts(3), facts(2)],
-            &agg,
-            Vec::new(),
-            Vec::new(),
-        );
-        assert_eq!(quiet.checkpoints, 1);
+        let quiet = FleetSummary {
+            checkpoints: 1,
+            ..sample()
+        };
         let text = quiet.to_string();
         assert!(!text.contains("faults:"), "{text}");
         assert!(!text.contains("resilience:"), "{text}");
         // …while a chaos run renders every fault counter.
-        agg.record_crash();
-        agg.record_throttle();
-        agg.record_recovered_session(37);
-        agg.record_shed_session();
-        agg.record_down_node_epoch();
-        agg.record_down_node_epoch();
-        agg.record_recovery(2);
-        let chaos = FleetSummary::assemble(
-            "least-loaded".into(),
-            10,
-            10.0,
-            &[facts(3), facts(2)],
-            &agg,
-            Vec::new(),
-            Vec::new(),
-        );
-        assert_eq!(chaos.crashes, 1);
-        assert_eq!(chaos.frames_redone, 37);
-        assert!((chaos.availability_percent - 50.0).abs() < 1e-12);
-        assert!((chaos.mean_mttr_epochs - 2.0).abs() < 1e-12);
+        let chaos = FleetSummary {
+            crashes: 1,
+            throttles: 1,
+            sessions_recovered: 1,
+            frames_redone: 37,
+            shed_sessions: 1,
+            down_node_epochs: 2,
+            recoveries: 1,
+            availability_percent: 50.0,
+            mean_mttr_epochs: 2.0,
+            ..quiet
+        };
         let text = chaos.to_string();
         assert!(
             text.contains(

@@ -19,6 +19,10 @@
 //!   aborts the run, the simulator encodes the recording automatically
 //!   so the crash site's recent history survives the unwind.
 //!
+//! The collector records trace events only. Fault marks are kept by the
+//! run's [`FleetSummary`](crate::FleetSummary) in every mode; a traced
+//! run also records each one as a [`TelemetryEvent::Mark`].
+//!
 //! Traces serialize through the workspace snapshot layer under the
 //! `MAMUTTL` magic (canonical encode: re-encoding a decoded trace is
 //! byte-identical) and export to Chrome `trace_event` JSON — load the
@@ -819,7 +823,8 @@ fn csv_field(s: &str) -> String {
 }
 
 /// The recording side: per-epoch event blocks with flight-recorder
-/// trimming, plus the always-on mark log the summary renders from.
+/// trimming. It records trace events only; fault marks are kept by the
+/// run's summary, in every mode.
 ///
 /// Lives inside [`FleetSim`](crate::FleetSim); every hook checks
 /// [`TelemetryCollector::enabled`] first, so with tracing off the whole
@@ -831,9 +836,6 @@ pub(crate) struct TelemetryCollector {
     blocks: VecDeque<Vec<TracedEvent>>,
     /// Events of the epoch in progress.
     current: Vec<TracedEvent>,
-    /// Fault/phase marks: always recorded regardless of mode — the
-    /// summary's pool timeline renders from these, traced or not.
-    marks: Vec<(u64, String)>,
     dropped_epochs: u64,
     events_recorded: u64,
 }
@@ -861,7 +863,6 @@ impl TelemetryCollector {
     pub(crate) fn reset(&mut self) {
         self.blocks.clear();
         self.current.clear();
-        self.marks.clear();
         self.dropped_epochs = 0;
         self.events_recorded = 0;
     }
@@ -879,22 +880,6 @@ impl TelemetryCollector {
         }
     }
 
-    /// Records a fault/phase mark. Marks feed the summary's pool
-    /// timeline, so they are kept in all modes; when tracing is on they
-    /// also land in the event stream as [`TelemetryEvent::Mark`].
-    pub(crate) fn record_mark(&mut self, epoch: u64, at_us: u64, label: String) {
-        if self.enabled() {
-            self.record(
-                epoch,
-                at_us,
-                TelemetryEvent::Mark {
-                    label: label.clone(),
-                },
-            );
-        }
-        self.marks.push((epoch, label));
-    }
-
     /// Seals the epoch in progress and applies flight-recorder trimming.
     pub(crate) fn end_epoch(&mut self) {
         if !self.enabled() {
@@ -907,11 +892,6 @@ impl TelemetryCollector {
                 self.dropped_epochs += 1;
             }
         }
-    }
-
-    /// The fault/phase marks recorded so far, in insertion order.
-    pub(crate) fn marks(&self) -> &[(u64, String)] {
-        &self.marks
     }
 
     /// Events recorded over the run, including any the flight recorder
@@ -1183,13 +1163,13 @@ mod tests {
 
     #[test]
     fn collector_off_records_nothing_but_keeps_marks() {
+        // Fault marks survive tracing off in the run's summary, not here
+        // (`fleet_chaos` renders `[crash:n0@e3]` from an untraced run).
         let mut c = TelemetryCollector::default();
         assert!(!c.enabled());
         c.record(0, 0, TelemetryEvent::EpochEnd);
-        c.record_mark(0, 0, "crash:n0".to_owned());
         c.end_epoch();
         assert_eq!(c.events_recorded(), 0);
-        assert_eq!(c.marks(), &[(0, "crash:n0".to_owned())]);
         assert!(c.trace(1.0).is_empty());
     }
 
@@ -1235,12 +1215,10 @@ mod tests {
         let mut c = TelemetryCollector::default();
         c.set_mode(TelemetryMode::Full);
         c.record(0, 0, TelemetryEvent::EpochEnd);
-        c.record_mark(0, 0, "m".to_owned());
         c.end_epoch();
         c.reset();
         assert!(c.enabled());
         assert_eq!(c.events_recorded(), 0);
-        assert!(c.marks().is_empty());
         assert!(c.trace(1.0).is_empty());
     }
 

@@ -13,13 +13,12 @@
 //! determinism for any worker count comes for free — exactly like every
 //! other fleet policy.
 
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use mamut_core::snapshot::SnapshotError;
 use mamut_fleet::{
-    Autoscaler, DispatchDecision, Dispatcher, Forecaster, HoltWinters, NodeView, PolicySource,
-    ScaleDecision, ScaleSignals, SessionRequest,
+    Autoscaler, DispatchDecision, Dispatcher, ForecastScaler, HoltWinters, LeastLoaded, NodeView,
+    PolicySource, PowerAware, ScaleDecision, ScaleSignals, SessionRequest,
 };
 
 use crate::featurize::{FeatureConfig, FleetFeaturizer};
@@ -71,13 +70,17 @@ pub struct Transition {
 
 /// The shared decision core behind [`RlScaler`] and [`RlDispatch`].
 ///
-/// Owns the policy, the featurizer and a private arrival-rate
-/// forecaster; records transitions for replay when in training mode.
+/// Owns the policy, the featurizer and a private one-epoch-lead
+/// [`ForecastScaler`] over a Holt-Winters forecaster, whose planned rate
+/// is the Little's-law base target; records transitions for replay when
+/// in training mode.
 #[derive(Debug)]
 pub struct PolicyDriver {
     policy: FleetPolicy,
     featurizer: FleetFeaturizer,
-    forecaster: HoltWinters,
+    /// Sizes the base target; only its observation and rate planning are
+    /// used, never its own `plan`.
+    scaler: ForecastScaler,
     prev_forecast_hz: Option<f64>,
     prev: Option<(usize, JointAction)>,
     train: bool,
@@ -87,13 +90,6 @@ pub struct PolicyDriver {
     w_pool: f64,
     w_power: f64,
     season_epochs: usize,
-    sessions_per_node: f64,
-    /// Expected session residence (virtual seconds) — workload
-    /// knowledge, set per scenario like the heuristic scalers'.
-    mean_session_s: f64,
-    /// Trailing observed arrival rates over one residence window, for
-    /// the Little's-law base target.
-    recent_hz: VecDeque<f64>,
 }
 
 /// A [`PolicyDriver`] shared between the scaler and dispatcher halves.
@@ -116,7 +112,7 @@ impl PolicyDriver {
         PolicyDriver {
             policy,
             featurizer,
-            forecaster: HoltWinters::new(config.season_epochs),
+            scaler: base_scaler(config.season_epochs, config.sessions_per_node, 10.0),
             prev_forecast_hz: None,
             prev: None,
             train: false,
@@ -126,9 +122,6 @@ impl PolicyDriver {
             w_pool: config.w_pool,
             w_power: config.w_power,
             season_epochs: config.season_epochs,
-            sessions_per_node: config.sessions_per_node,
-            mean_session_s: 10.0,
-            recent_hz: VecDeque::new(),
         }
     }
 
@@ -155,19 +148,22 @@ impl PolicyDriver {
     /// training episodes so one scenario's tail never rewards another's
     /// opening action.
     pub fn begin_episode(&mut self) {
-        self.forecaster = HoltWinters::new(self.season_epochs);
+        self.scaler = base_scaler(
+            self.season_epochs,
+            self.scaler.sessions_per_node,
+            self.scaler.mean_session_s,
+        );
         self.prev_forecast_hz = None;
         self.prev = None;
         self.pref = DispatchPref::LeastLoaded;
         self.last_source = PolicySource::Heuristic;
-        self.recent_hz.clear();
     }
 
     /// Sets the expected session residence (virtual seconds) the
     /// Little's-law base target is computed from — workload knowledge
     /// the heuristic scalers also receive, not policy.
     pub fn set_mean_session_s(&mut self, mean_session_s: f64) {
-        self.mean_session_s = mean_session_s.max(1e-9);
+        self.scaler.mean_session_s = mean_session_s.max(1e-9);
     }
 
     /// Drains the transitions recorded since the last call.
@@ -228,42 +224,6 @@ impl PolicyDriver {
         slack - self.w_pool * pool_fraction - self.w_power * power_fraction
     }
 
-    /// Epochs one session residence spans on this epoch grid.
-    fn window_epochs(&self, epoch_s: f64) -> i64 {
-        ((self.mean_session_s / epoch_s.max(1e-9)).ceil() as i64).max(1)
-    }
-
-    /// The rate at offset `j ≤ 0` epochs from the newest observation
-    /// (0 = the current boundary; before the run = 0).
-    fn observed_hz(&self, j: i64) -> f64 {
-        let idx = self.recent_hz.len() as i64 - 1 + j;
-        if idx >= 0 {
-            self.recent_hz[idx as usize]
-        } else {
-            0.0
-        }
-    }
-
-    /// The concurrency-driving rate (Hz) one epoch out: the mean
-    /// arrival rate across the residence window ending at the next
-    /// boundary — trailing observations blended with a one-step
-    /// forecast. Mirrors
-    /// [`ForecastScaler::planned_rate_hz`](mamut_fleet::ForecastScaler)
-    /// at its sweep lead of 1.
-    fn planned_rate_hz(&self, epoch_s: f64) -> f64 {
-        let window = self.window_epochs(epoch_s);
-        let sum: f64 = (2 - window..=1)
-            .map(|j| {
-                if j <= 0 {
-                    self.observed_hz(j)
-                } else {
-                    self.forecaster.forecast_hz(j as u64)
-                }
-            })
-            .sum();
-        sum / window as f64
-    }
-
     /// The whole per-epoch decision; called from [`RlScaler::plan`].
     ///
     /// The learned action is a *residual* on a Little's-law base
@@ -315,20 +275,15 @@ impl PolicyDriver {
         };
         self.prev = Some((state.index, action));
 
-        self.forecaster
-            .observe(signals.arrivals_due, signals.epoch_s);
-        self.recent_hz.push_back(instant_hz);
-        while self.recent_hz.len() as i64 > self.window_epochs(signals.epoch_s) {
-            self.recent_hz.pop_front();
-        }
-        self.prev_forecast_hz = Some(self.forecaster.forecast_hz(1));
+        self.scaler.observe(signals);
+        self.prev_forecast_hz = Some(self.scaler.forecaster().forecast_hz(1));
 
         // Little's law on the blended rate, plus the queued backlog,
         // then the learned offset.
         let (min_nodes, max_nodes) = self.featurizer.config().pool;
-        let expected = self.planned_rate_hz(signals.epoch_s) * self.mean_session_s
+        let expected = self.scaler.planned_rate_hz(signals.epoch_s) * self.scaler.mean_session_s
             + signals.queued_sessions as f64;
-        let base = (expected / self.sessions_per_node).ceil() as i64;
+        let base = (expected / self.scaler.sessions_per_node).ceil() as i64;
         let offset = match action.scale {
             ScaleMove::Shrink => -1,
             ScaleMove::Hold => 0,
@@ -344,28 +299,10 @@ impl PolicyDriver {
     }
 
     /// Places `request` following the current dispatch preference.
-    fn dispatch(&mut self, _request: &SessionRequest, nodes: &[NodeView]) -> DispatchDecision {
-        if nodes.is_empty() {
-            return DispatchDecision::Reject;
-        }
-        let pick = match self.pref {
-            DispatchPref::LeastLoaded => nodes
-                .iter()
-                .min_by(|a, b| {
-                    a.utilization()
-                        .total_cmp(&b.utilization())
-                        .then(a.active_sessions.cmp(&b.active_sessions))
-                        .then(a.node_id.cmp(&b.node_id))
-                })
-                .expect("non-empty"),
-            DispatchPref::PowerHeadroom => nodes
-                .iter()
-                .max_by(|a, b| {
-                    a.power_headroom_w()
-                        .total_cmp(&b.power_headroom_w())
-                        .then(b.node_id.cmp(&a.node_id))
-                })
-                .expect("non-empty"),
+    fn dispatch(&mut self, request: &SessionRequest, nodes: &[NodeView]) -> DispatchDecision {
+        match self.pref {
+            DispatchPref::LeastLoaded => LeastLoaded.dispatch(request, nodes),
+            DispatchPref::PowerHeadroom => PowerAware.dispatch(request, nodes),
             DispatchPref::QosSlack => nodes
                 .iter()
                 .max_by(|a, b| {
@@ -374,10 +311,27 @@ impl PolicyDriver {
                         .then(b.utilization().total_cmp(&a.utilization()))
                         .then(b.node_id.cmp(&a.node_id))
                 })
-                .expect("non-empty"),
-        };
-        DispatchDecision::Assign(pick.node_id)
+                .map_or(DispatchDecision::Reject, |n| {
+                    DispatchDecision::Assign(n.node_id)
+                }),
+        }
     }
+}
+
+/// The Little's-law sizing behind the base target: a [`ForecastScaler`]
+/// over a fresh Holt-Winters season that plans one epoch ahead. The
+/// fields are set directly, so sessions per node keep the configured
+/// value unclamped.
+fn base_scaler(
+    season_epochs: usize,
+    sessions_per_node: f64,
+    mean_session_s: f64,
+) -> ForecastScaler {
+    let mut scaler =
+        ForecastScaler::new(Box::new(HoltWinters::new(season_epochs))).with_lead_epochs(1);
+    scaler.sessions_per_node = sessions_per_node;
+    scaler.mean_session_s = mean_session_s;
+    scaler
 }
 
 /// The learned pool-sizing half: an [`Autoscaler`] that delegates every

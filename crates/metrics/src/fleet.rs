@@ -6,8 +6,8 @@
 //! way [`QosTracker`](crate::QosTracker) only sees frame timings. Per
 //! node the aggregate keeps the ∆ numerator/denominator (violations over
 //! frames), energy totals, and a utilization series;
-//! cluster-wide it folds those into a frames-weighted ∆, dispatch
-//! outcome counts, and a histogram of node-epoch utilization samples.
+//! cluster-wide it folds those into a frames-weighted ∆, the active-pool
+//! timeline, and a histogram of node-epoch utilization samples.
 
 use crate::{RunningStats, TailLedger, CLUSTER_TAIL_CAPACITY, NODE_TAIL_CAPACITY};
 
@@ -126,27 +126,11 @@ impl NodeAggregate {
     }
 }
 
-/// Cluster-wide aggregate over all nodes and dispatch decisions.
+/// Cluster-wide aggregate over all nodes' epoch samples.
 #[derive(Debug, Clone, Default)]
 pub struct FleetAggregate {
     /// Per-node aggregates in node-id order.
     pub nodes: Vec<NodeAggregate>,
-    /// Sessions the dispatcher rejected outright.
-    pub rejected_sessions: u64,
-    /// Times a session was parked in the pending queue (one session can
-    /// be queued over several epochs; each wait epoch counts).
-    pub queued_waits: u64,
-    /// Sessions moved between nodes at epoch boundaries.
-    pub migrations: u64,
-    /// Sessions seeded from a knowledge store instead of starting cold.
-    pub warm_starts: u64,
-    /// Nodes commissioned by an autoscaler after the run started.
-    pub scale_ups: u64,
-    /// Nodes drained and decommissioned by an autoscaler.
-    pub scale_downs: u64,
-    /// Live sessions migrated off a node while it was being drained for
-    /// decommission (counted separately from rebalance migrations).
-    pub drained_sessions: u64,
     /// Powered node-epochs simulated: each epoch a node spends in the
     /// active pool counts once. With a fixed pool this is
     /// `epochs × nodes`; an elastic pool's saving shows up here.
@@ -156,47 +140,6 @@ pub struct FleetAggregate {
     pub pool_timeline: Vec<(u64, usize)>,
     /// Node-epoch utilization samples across the whole fleet.
     pub utilization: UtilizationHistogram,
-    /// Epoch decisions a learned fleet policy took greedily (argmax of
-    /// its value estimates) — the fleet-layer analogue of a session
-    /// controller's exploitation decisions.
-    pub greedy_actions: u64,
-    /// Epoch decisions a learned fleet policy took exploratorily
-    /// (ε-greedy random draws).
-    pub exploratory_actions: u64,
-    /// Epoch decisions planned by a hand-tuned (non-learned) policy.
-    pub heuristic_decisions: u64,
-    /// Scale events (grow or shrink, before clamping) decided by a
-    /// learned policy.
-    pub learned_scale_events: u64,
-    /// Scale events decided by a heuristic policy.
-    pub heuristic_scale_events: u64,
-    /// Nodes lost to injected fail-stop crashes.
-    pub crashes: u64,
-    /// Thermal-throttle events applied to nodes (frequency caps).
-    pub throttles: u64,
-    /// Sessions re-created on survivors after a crash (from checkpoint
-    /// or, failing that, from scratch).
-    pub sessions_recovered: u64,
-    /// Frames that must be transcoded again because they were completed
-    /// after the last checkpoint on a node that then crashed. Lost work
-    /// is never silently dropped — it lands here.
-    pub frames_redone: u64,
-    /// Frames lost with no surviving node to re-do them on (a crash with
-    /// zero surviving capacity). Zero in any healthy configuration.
-    pub frames_lost: u64,
-    /// Arrivals shed (rejected instead of queued) while the fleet was
-    /// running degraded below its capacity watermark.
-    pub shed_sessions: u64,
-    /// Node-epochs spent waiting for a crashed node's replacement: the
-    /// denominator complement of availability.
-    pub down_node_epochs: u64,
-    /// Sum of per-crash recovery times in epochs (crash to replacement
-    /// in service); divide by [`FleetAggregate::recoveries`] for MTTR.
-    pub mttr_epochs_total: u64,
-    /// Crashes whose replacement node has entered service.
-    pub recoveries: u64,
-    /// Fleet checkpoints captured over the run.
-    pub checkpoints: u64,
     /// Cluster-wide per-epoch tail ledger (every node's productive epochs
     /// fold in here as well as into their own node's ledger).
     pub tail: TailLedger,
@@ -221,42 +164,12 @@ impl FleetAggregate {
         }
     }
 
-    /// Counts a session rejected by the dispatcher.
-    pub fn record_rejection(&mut self) {
-        self.rejected_sessions += 1;
-    }
-
-    /// Counts one epoch of queueing delay for a pending session.
-    pub fn record_queued_wait(&mut self) {
-        self.queued_waits += 1;
-    }
-
-    /// Counts one inter-node session migration.
-    pub fn record_migration(&mut self) {
-        self.migrations += 1;
-    }
-
     /// Grows the per-node aggregates to cover node ids `0..nodes` (an
     /// autoscaler commissioned new nodes mid-run).
     pub fn ensure_nodes(&mut self, nodes: usize) {
         while self.nodes.len() < nodes {
             self.nodes.push(node_aggregate(self.nodes.len()));
         }
-    }
-
-    /// Counts one node commissioned by the autoscaler.
-    pub fn record_scale_up(&mut self) {
-        self.scale_ups += 1;
-    }
-
-    /// Counts one node drained and decommissioned by the autoscaler.
-    pub fn record_scale_down(&mut self) {
-        self.scale_downs += 1;
-    }
-
-    /// Counts one live session migrated off a draining node.
-    pub fn record_drained_session(&mut self) {
-        self.drained_sessions += 1;
     }
 
     /// Records the active pool size at an epoch boundary; the timeline
@@ -293,103 +206,6 @@ impl FleetAggregate {
         agg.violations = violations;
         agg.energy_j = energy_j;
         agg.duration_s = duration_s;
-    }
-
-    /// Counts one epoch decision by the fleet policy that planned it.
-    /// `learned` says whether a learned (RL) policy or a hand-tuned
-    /// heuristic made the call; for learned policies `exploratory`
-    /// distinguishes ε-greedy draws from greedy argmax picks; `scaled`
-    /// is true when the decision changed the pool size (grow or shrink).
-    pub fn record_policy_decision(&mut self, learned: bool, exploratory: bool, scaled: bool) {
-        if learned {
-            if exploratory {
-                self.exploratory_actions += 1;
-            } else {
-                self.greedy_actions += 1;
-            }
-            if scaled {
-                self.learned_scale_events += 1;
-            }
-        } else {
-            self.heuristic_decisions += 1;
-            if scaled {
-                self.heuristic_scale_events += 1;
-            }
-        }
-    }
-
-    /// Records how many sessions were warm-started over the run (the
-    /// fleet reads the final figure off its knowledge store).
-    pub fn set_warm_starts(&mut self, warm_starts: u64) {
-        self.warm_starts = warm_starts;
-    }
-
-    /// Counts one injected fail-stop node crash.
-    pub fn record_crash(&mut self) {
-        self.crashes += 1;
-    }
-
-    /// Counts one thermal-throttle event.
-    pub fn record_throttle(&mut self) {
-        self.throttles += 1;
-    }
-
-    /// Counts one session re-created on a survivor after a crash, with
-    /// the frames it must transcode again (everything past its last
-    /// checkpoint, or its whole history on a cold restart).
-    pub fn record_recovered_session(&mut self, frames_redone: u64) {
-        self.sessions_recovered += 1;
-        self.frames_redone += frames_redone;
-    }
-
-    /// Counts frames lost outright because no survivor could host the
-    /// session (should stay zero; a nonzero value is a red flag).
-    pub fn record_lost_frames(&mut self, frames: u64) {
-        self.frames_lost += frames;
-    }
-
-    /// Counts one arrival shed during degraded operation.
-    pub fn record_shed_session(&mut self) {
-        self.shed_sessions += 1;
-    }
-
-    /// Counts one epoch during which a crashed node's replacement was
-    /// still pending (one per missing node per epoch).
-    pub fn record_down_node_epoch(&mut self) {
-        self.down_node_epochs += 1;
-    }
-
-    /// Counts one completed recovery: a replacement in service
-    /// `mttr_epochs` after its predecessor crashed.
-    pub fn record_recovery(&mut self, mttr_epochs: u64) {
-        self.recoveries += 1;
-        self.mttr_epochs_total += mttr_epochs;
-    }
-
-    /// Counts one fleet checkpoint capture.
-    pub fn record_checkpoint(&mut self) {
-        self.checkpoints += 1;
-    }
-
-    /// Availability as a percentage of demanded node-epochs actually
-    /// served: `100 · up / (up + down)`. 100.0 when nothing ran.
-    pub fn availability_percent(&self) -> f64 {
-        let total = self.node_epochs + self.down_node_epochs;
-        if total == 0 {
-            100.0
-        } else {
-            100.0 * self.node_epochs as f64 / total as f64
-        }
-    }
-
-    /// Mean time to recovery in epochs over completed recoveries (0.0
-    /// before any recovery).
-    pub fn mean_mttr_epochs(&self) -> f64 {
-        if self.recoveries == 0 {
-            0.0
-        } else {
-            self.mttr_epochs_total as f64 / self.recoveries as f64
-        }
     }
 
     /// Folds one node epoch into the aggregate. `frames`/`violations`/
@@ -583,49 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn policy_decision_counters_split_by_source() {
-        let mut f = FleetAggregate::new(1);
-        f.record_policy_decision(true, false, true); // learned greedy grow
-        f.record_policy_decision(true, true, false); // learned exploratory hold
-        f.record_policy_decision(true, false, false); // learned greedy hold
-        f.record_policy_decision(false, false, true); // heuristic shrink
-        f.record_policy_decision(false, false, false); // heuristic hold
-        assert_eq!(f.greedy_actions, 2);
-        assert_eq!(f.exploratory_actions, 1);
-        assert_eq!(f.heuristic_decisions, 2);
-        assert_eq!(f.learned_scale_events, 1);
-        assert_eq!(f.heuristic_scale_events, 1);
-    }
-
-    #[test]
-    fn fault_counters_and_resilience_ratios() {
-        let mut f = FleetAggregate::new(2);
-        assert_eq!(f.availability_percent(), 100.0, "no samples means no loss");
-        assert_eq!(f.mean_mttr_epochs(), 0.0);
-        f.record_node_epoch(0, 10, 0, 50.0, 1.0, 0.5);
-        f.record_node_epoch(1, 10, 0, 50.0, 1.0, 0.5);
-        f.record_crash();
-        f.record_throttle();
-        f.record_recovered_session(30);
-        f.record_recovered_session(0);
-        f.record_shed_session();
-        f.record_down_node_epoch();
-        f.record_down_node_epoch();
-        f.record_recovery(2);
-        f.record_recovery(4);
-        f.record_checkpoint();
-        assert_eq!(f.crashes, 1);
-        assert_eq!(f.throttles, 1);
-        assert_eq!(f.sessions_recovered, 2);
-        assert_eq!(f.frames_redone, 30);
-        assert_eq!(f.frames_lost, 0);
-        assert_eq!(f.shed_sessions, 1);
-        assert_eq!(f.checkpoints, 1);
-        assert!((f.availability_percent() - 50.0).abs() < 1e-12);
-        assert!((f.mean_mttr_epochs() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn tail_ledgers_sample_epoch_deltas_only() {
         let mut f = FleetAggregate::new(1);
         f.record_node_epoch(0, 10, 1, 100.0, 1.0, 0.5); // +10 frames, +1 late
@@ -641,19 +414,5 @@ mod tests {
             f.tail.frame_latency_percentiles_ms(&[100.0]),
             vec![Some(100.0)]
         );
-    }
-
-    #[test]
-    fn autoscale_counters_accumulate() {
-        let mut f = FleetAggregate::new(1);
-        f.record_scale_up();
-        f.record_scale_up();
-        f.record_scale_down();
-        f.record_drained_session();
-        f.record_drained_session();
-        f.record_drained_session();
-        assert_eq!(f.scale_ups, 2);
-        assert_eq!(f.scale_downs, 1);
-        assert_eq!(f.drained_sessions, 3);
     }
 }

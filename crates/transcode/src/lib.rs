@@ -67,6 +67,6 @@ mod summary;
 pub use admission::{AdmissionPlanner, AdmissionVerdict, StreamShape};
 pub use error::TranscodeError;
 pub use scenario::{homogeneous_sessions, scenario_ii_sessions, MixSpec};
-pub use server::{ServerLoad, ServerSim};
+pub use server::ServerSim;
 pub use session::{SessionConfig, TranscodeSession, INITIAL_KNOBS, SESSION_CHECKPOINT_VERSION};
 pub use summary::{RunSummary, SessionSummary};

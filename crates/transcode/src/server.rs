@@ -51,31 +51,6 @@ impl SessionSlot {
     }
 }
 
-/// Snapshot of a server's instantaneous load (dispatcher's view).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServerLoad {
-    /// Sessions still transcoding (not yet through their playlists).
-    pub active_sessions: usize,
-    /// Threads those sessions collectively request.
-    pub threads_demanded: u32,
-    /// Hardware threads the platform offers.
-    pub hw_threads: u32,
-    /// Instantaneous power at the current knobs (W).
-    pub power_w: f64,
-}
-
-impl ServerLoad {
-    /// Thread demand as a fraction of hardware threads (can exceed 1.0
-    /// when the box is oversubscribed).
-    pub fn utilization(&self) -> f64 {
-        if self.hw_threads == 0 {
-            0.0
-        } else {
-            f64::from(self.threads_demanded) / f64::from(self.hw_threads)
-        }
-    }
-}
-
 /// Index min-heap of predicted completion deadlines, keyed by virtual
 /// time with the session id as payload. Rebuilt wholesale on rate-epoch
 /// bumps (Floyd heapify over the persistent buffer); between bumps the
@@ -615,15 +590,6 @@ impl ServerSim {
         self.freq_cap_ghz
     }
 
-    /// A knob frequency clamped to the thermal ceiling (identity when
-    /// no cap is in force).
-    fn effective_freq(&self, freq_ghz: f64) -> f64 {
-        match self.freq_cap_ghz {
-            Some(cap) => freq_ghz.min(cap),
-            None => freq_ghz,
-        }
-    }
-
     /// Serializes one session's complete dynamic state without
     /// disturbing it: the in-flight frame's remaining work is
     /// materialized at the current clock inside the byte stream (the
@@ -997,29 +963,6 @@ impl ServerSim {
         Ok(self.events - start_events)
     }
 
-    /// Instantaneous load of the server: what a fleet dispatcher inspects
-    /// before placing the next session. Cold path (once per placement
-    /// query, never per event), so it favors the straightforward
-    /// collect over the engine's allocation-free machinery.
-    pub fn load(&self) -> ServerLoad {
-        let loads: Vec<SessionLoad> = self
-            .sessions
-            .iter()
-            .filter_map(SessionSlot::get)
-            .filter(|s| !s.is_finished())
-            .map(|s| {
-                let k = s.knobs();
-                SessionLoad::new(k.threads, self.effective_freq(k.freq_ghz))
-            })
-            .collect();
-        ServerLoad {
-            active_sessions: loads.len(),
-            threads_demanded: loads.iter().map(|l| l.threads).sum(),
-            hw_threads: self.platform.topology().hw_threads(),
-            power_w: self.platform.power_draw(&loads),
-        }
-    }
-
     /// Builds the summary of everything measured so far: one row per
     /// resident or archived session, in id order (migrated-away sessions
     /// report where they went).
@@ -1289,23 +1232,6 @@ mod tests {
     }
 
     #[test]
-    fn load_reports_demand_and_drops_finished_sessions() {
-        let mut srv = ServerSim::with_default_platform();
-        srv.add_session(SessionConfig::single_video(hr_spec(5), 1), fixed(10, 3.2));
-        srv.add_session(SessionConfig::single_video(lr_spec(400), 2), fixed(4, 2.6));
-        srv.step(); // apply each controller's announced knobs
-        let load = srv.load();
-        assert_eq!(load.active_sessions, 2);
-        assert_eq!(load.threads_demanded, 14);
-        assert_eq!(load.hw_threads, 32);
-        assert!(load.power_w > srv.platform().idle_power_w());
-        assert!((load.utilization() - 14.0 / 32.0).abs() < 1e-12);
-        // Let the short HR session finish: demand shrinks.
-        srv.run_epoch(1_000.0, 1_000_000).unwrap();
-        assert!(srv.load().active_sessions <= 1);
-    }
-
-    #[test]
     fn unknown_session_id_errors() {
         let srv = ServerSim::with_default_platform();
         assert!(matches!(
@@ -1538,7 +1464,8 @@ mod tests {
             srv.run_epoch((batch + 1) as f64, 1_000_000).unwrap();
         }
         assert_eq!(srv.next_session_id(), 502);
-        assert_eq!(srv.load().active_sessions, 2, "the short sessions finished");
+        let live = srv.sessions().iter().filter(|s| !s.is_finished()).count();
+        assert_eq!(live, 2, "the short sessions finished");
         srv.set_freq_cap(Some(2.0)); // forces a rebuild at the next event
         let epochs = srv.rate_epochs();
         assert!(srv.step());

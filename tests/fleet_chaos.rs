@@ -26,6 +26,13 @@ fn worker_counts(default: &[usize]) -> Vec<usize> {
     }
 }
 
+/// FNV-1a 64 of `bytes`: a short fingerprint of a summary's rendering.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 fn factory() -> ControllerFactory {
     Box::new(|req| {
         let threads = if req.hr { 10 } else { 4 };
@@ -127,6 +134,14 @@ fn chaos_runs_are_byte_identical_across_worker_counts() {
         );
     }
     assert!(sequential.contains("faults:"), "{sequential}");
+    // Pinned bytes: the fault and resilience lines render counters no
+    // benchmark digest covers. A deliberate physics change re-pins this
+    // along with `fleetbench/pinned.json`.
+    assert_eq!(
+        fnv1a(sequential.as_bytes()),
+        0x6133_6a4a_1be2_101a,
+        "chaos summary drifted:\n{sequential}"
+    );
 }
 
 #[test]

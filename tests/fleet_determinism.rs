@@ -34,9 +34,10 @@ fn worker_counts(default: &[usize]) -> Vec<usize> {
 }
 
 /// FNV-1a 64 of `bytes`: a short fingerprint of a knowledge store's
-/// encoding. Publishes are snapshots captured on worker threads, and
-/// merged Q-values are order-sensitive floats, so the store's bytes are
-/// compared across worker counts along with the summary.
+/// encoding or of a whole reference text. Publishes are snapshots
+/// captured on worker threads, and merged Q-values are order-sensitive
+/// floats, so the store's bytes are compared across worker counts along
+/// with the summary.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
         (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
@@ -286,6 +287,14 @@ fn autoscaling_with_migration_and_knowledge_preserves_determinism() {
         !sequential.contains("scale_downs=0"),
         "pool never shrank: {sequential}"
     );
+    // Pinned bytes: scale events, drains and warm starts are counters no
+    // benchmark digest covers. A deliberate physics change re-pins this
+    // along with `fleetbench/pinned.json`.
+    assert_eq!(
+        fnv1a(sequential.as_bytes()),
+        0x1b13_361c_2a1b_66c8,
+        "elastic summary drifted:\n{sequential}"
+    );
 }
 
 /// The sharded coordinator over a full catalog scenario — regional
@@ -361,6 +370,14 @@ fn sharded_full_stack_preserves_worker_count_determinism() {
     assert!(
         sequential.contains("759 sessions"),
         "regional split lost arrivals: {sequential}"
+    );
+    // Pinned bytes: inter-shard migrations and knowledge syncs of a full
+    // stack no benchmark digest covers. A deliberate physics change
+    // re-pins this along with `fleetbench/pinned.json`.
+    assert_eq!(
+        fnv1a(sequential.as_bytes()),
+        0x151b_749f_3816_3258,
+        "sharded summary drifted:\n{sequential}"
     );
 }
 

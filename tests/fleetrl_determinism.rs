@@ -28,6 +28,13 @@ fn worker_counts(default: &[usize]) -> Vec<usize> {
     }
 }
 
+/// FNV-1a 64 of `bytes`: a short fingerprint of a summary's rendering.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 fn quick_cfg(workers: usize) -> TrainConfig {
     TrainConfig {
         episodes_per_scenario: 2,
@@ -82,6 +89,14 @@ fn training_and_evaluation_are_identical_across_worker_counts() {
     assert!(
         reference_summary.contains("policy:"),
         "policy counters missing:\n{reference_summary}"
+    );
+    // Pinned bytes: the `policy:` line renders counters no benchmark
+    // digest covers. A deliberate change to the learner or the fleet
+    // physics re-pins this along with `fleetbench/pinned.json`.
+    assert_eq!(
+        fnv1a(reference_summary.as_bytes()),
+        0xe28e_9b3e_c757_5748,
+        "evaluation summary drifted:\n{reference_summary}"
     );
 }
 
