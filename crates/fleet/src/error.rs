@@ -55,11 +55,13 @@ pub enum FleetError {
         /// How many nodes the fleet has.
         nodes: usize,
     },
-    /// Advancing a node panicked on its worker thread (e.g. inside a
-    /// session's controller). The panic is caught there and the run
-    /// aborts with this error instead of tearing down the process.
+    /// Advancing a node panicked (e.g. inside a session's controller or
+    /// factory), on a worker thread or on the coordinator. The panic is
+    /// caught there and the run aborts with this error instead of
+    /// tearing down the process. When several nodes fail in one advance,
+    /// the run reports the lowest `(shard, node)`.
     WorkerPanicked {
-        /// The node whose advance panicked.
+        /// The node whose advance panicked (its id within its shard).
         node: usize,
     },
 }

@@ -25,10 +25,11 @@
 //! between advances: the harvest publishes, in node-id then session-id
 //! order, the knowledge each node captured from its finished sessions at
 //! the end of its advance. Seeds mostly happen during an advance, on the
-//! worker threads that build the nodes' admitted sessions (crash
-//! recovery seeds on the coordinator). A seed only reads entries and
-//! bumps two counters, and nothing writes the store during an advance,
-//! so fleet determinism is preserved for any worker count.
+//! threads that build the nodes' admitted sessions (crash recovery seeds
+//! on the coordinator). A seed only reads entries and bumps two
+//! counters, and nothing writes the store during an advance, so fleet
+//! determinism is preserved for any worker count. A sharded fleet gives
+//! each shard its own store, since one advance serves every shard.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -596,8 +597,8 @@ fn merge_agent(old: &AgentSnapshot, new: &AgentSnapshot) -> Option<AgentSnapshot
 /// the store before its first frame. Cold starts happen transparently
 /// when the store has no compatible knowledge for the session's class.
 ///
-/// Nodes build admitted sessions on the worker threads that advance
-/// them, so seeds take the store's mutex from several threads at once.
+/// Nodes build admitted sessions on the threads that advance them, so
+/// seeds take the store's mutex from several threads at once.
 /// That order cannot show in results: a seed only reads entries and
 /// bumps counters, and the fleet writes the store only between advances.
 pub fn warm_start_factory(

@@ -50,9 +50,10 @@ impl std::fmt::Debug for MigratedSession {
 /// mixes MAMUT nodes with baseline-controlled ones in one run.
 ///
 /// [`FleetNode::admit`] does not call it: the node builds its admitted
-/// sessions at its next advance, on whichever worker thread advances it,
-/// in admission order. A factory therefore runs off the coordinator, and
-/// the controller it returns must depend only on the request and on
+/// sessions at its next advance, in admission order, on whichever thread
+/// pulls the node from the advance's queue (a worker or the
+/// coordinator). A factory therefore runs during an advance, and the
+/// controller it returns must depend only on the request and on
 /// state nothing writes during an advance (the knowledge store is
 /// written only between advances). A factory that panics fails the run
 /// with [`FleetError::WorkerPanicked`].

@@ -6,27 +6,32 @@
 //! target: one global rebalance/autoscale pass per epoch, every node
 //! visited every epoch, one `Arc<Mutex>` knowledge store. Sharding
 //! splits the fleet the way real deployments do — by region or cell —
-//! so per-epoch coordination cost is per-shard, a shard whose nodes have
-//! all finished ticks them on the coordinator without spawning a worker,
-//! and the expensive global operations become explicit, infrequent
-//! exchanges:
+//! so per-epoch coordination cost is per-shard, and the expensive global
+//! operations become explicit, infrequent exchanges:
 //!
 //! * **knowledge sync** — every [`ShardConfig::sync_interval`] epochs
 //!   the shard stores are folded into a fleet-wide store (the
 //!   visit-weighted merge is associative, so the fold equals flat
 //!   publishing) and every shard adopts the fold; publish counters stay
-//!   local, so per-shard invariants survive any number of syncs;
+//!   local, so per-shard invariants survive any number of syncs. Each
+//!   shard owns its store: two shards holding one are rejected at
+//!   [`ShardedFleetSim::run`];
 //! * **session overflow** — after every lockstep epoch, if the busiest
 //!   shard's mean utilization exceeds the high watermark while the
 //!   idlest sits below the low one, a live session migrates across the
 //!   shard boundary over the same `detach_session`/`attach_session`
 //!   path rebalancers use inside a shard.
 //!
-//! Everything runs on the coordinating thread in shard-id order, so
-//! the whole stack inherits the fleet's byte-identical determinism for
-//! any worker count. A single-shard configuration is the degenerate
-//! case: its summary is byte-for-byte what the wrapped [`FleetSim`]
-//! would have produced on its own.
+//! Each lockstep epoch runs every shard's pre-advance steps (checkpoint
+//! and faults, autoscale, dispatch) in shard order, then one advance of
+//! every shard's active nodes — one fan-out per epoch, however many
+//! shards — then every shard's post-advance steps (record, harvest,
+//! rebalance) in shard order, then the cross-shard steps above. All but
+//! the advance runs on the coordinating thread, and shards share no
+//! state during it, so the whole stack inherits the fleet's
+//! byte-identical determinism for any worker count. A single-shard
+//! configuration is the degenerate case: its summary is byte-for-byte
+//! what the wrapped [`FleetSim`] would have produced on its own.
 
 use std::sync::Arc;
 
@@ -36,7 +41,7 @@ use crate::dispatch::cmp_utilization;
 use crate::error::FleetError;
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::knowledge::KnowledgeStore;
-use crate::sim::FleetSim;
+use crate::sim::{Advance, FleetSim};
 use crate::summary::FleetSummary;
 use crate::telemetry::{
     FleetTrace, TelemetryCollector, TelemetryEvent, TelemetryMode, COORDINATOR_LANE,
@@ -221,17 +226,24 @@ impl ShardedFleetSim {
     }
 
     /// Runs every shard's workload to completion in lockstep epochs.
+    /// Each epoch runs every shard's pre-advance steps in shard order,
+    /// one advance of every shard's active nodes, every shard's
+    /// post-advance steps in shard order, then the cross-shard steps.
     /// Each run reports its own cross-shard counts: they are counted
     /// into a summary reset when the run starts.
     ///
     /// # Errors
     ///
     /// [`FleetError::NoNodes`] without shards (or from a shard without
-    /// nodes); [`FleetError::InvalidConfig`] when an overflow watermark
-    /// is not finite, `overflow_low` exceeds `overflow_high`, or shards
-    /// disagree on the epoch length; any shard error surfaces unchanged;
-    /// [`FleetError::EpochBudgetExhausted`] when a shard's workload
-    /// cannot drain within its epoch budget.
+    /// nodes). [`FleetError::InvalidConfig`] when an overflow watermark
+    /// is not finite, `overflow_low` exceeds `overflow_high`, shards
+    /// disagree on the epoch length, or two shards hold the same
+    /// knowledge store; these are checked before any shard steps. Any
+    /// shard error surfaces unchanged: one from a shard's checkpoint,
+    /// fault, autoscale or dispatch step surfaces before any node of that
+    /// epoch advances, and a node failure is the one with the lowest
+    /// `(shard, node)` address. [`FleetError::EpochBudgetExhausted`] when
+    /// a shard's workload cannot drain within its epoch budget.
     pub fn run(&mut self) -> Result<ShardedFleetSummary, FleetError> {
         self.report = ShardedFleetSummary::default();
         if self.shards.is_empty() {
@@ -257,13 +269,35 @@ impl ShardedFleetSim {
                 )));
             }
         }
+        // Each shard owns its store. One advance serves every shard, so
+        // every shard seeds an epoch's new sessions before any shard
+        // harvests that epoch; on a shared store each shard would also
+        // count the other's warm starts as its own.
+        for (index, (name, sim)) in self.shards.iter().enumerate() {
+            let Some(store) = sim.knowledge_ref() else {
+                continue;
+            };
+            let earlier = self.shards[..index]
+                .iter()
+                .find(|(_, other)| other.knowledge_ref().is_some_and(|o| Arc::ptr_eq(o, store)));
+            if let Some((first, _)) = earlier {
+                return Err(FleetError::InvalidConfig(format!(
+                    "shards {first} and {name} share one knowledge store — \
+                     each shard needs its own (knowledge sync spreads it)"
+                )));
+            }
+        }
         for (_, sim) in &mut self.shards {
             sim.begin_run()?;
         }
         self.telemetry.reset();
         loop {
             for (_, sim) in &mut self.shards {
-                sim.step_epoch()?;
+                sim.pre_advance()?;
+            }
+            Advance::new(self.shards.iter_mut().map(|(_, sim)| sim)).run()?;
+            for (_, sim) in &mut self.shards {
+                sim.post_advance()?;
             }
             if self.shards.len() > 1 {
                 let epoch = self.shards[0].1.epoch();
@@ -353,26 +387,19 @@ impl ShardedFleetSim {
             // A partitioned shard is unreachable: it neither sheds nor
             // accepts overflow until the partition heals.
             let cut = self.partitioned();
-            let eligible: Vec<usize> = (0..self.shards.len())
+            let utils: std::collections::BTreeMap<usize, f64> = (0..self.shards.len())
                 .filter(|i| !cut.contains(i))
+                .map(|i| (i, self.shards[i].1.mean_active_utilization()))
                 .collect();
-            if eligible.len() < 2 {
+            let eligible = || utils.keys().copied();
+            let max =
+                eligible().max_by(|&a, &b| cmp_utilization(utils[&a], utils[&b]).then(b.cmp(&a)));
+            let min =
+                eligible().min_by(|&a, &b| cmp_utilization(utils[&a], utils[&b]).then(a.cmp(&b)));
+            // With one reachable shard, it is both source and target.
+            let (Some(source), Some(target)) = (max, min) else {
                 return Ok(());
-            }
-            let utils: std::collections::BTreeMap<usize, f64> = eligible
-                .iter()
-                .map(|&i| (i, self.shards[i].1.mean_active_utilization()))
-                .collect();
-            let source = eligible
-                .iter()
-                .copied()
-                .max_by(|&a, &b| cmp_utilization(utils[&a], utils[&b]).then(b.cmp(&a)))
-                .expect("at least two eligible shards");
-            let target = eligible
-                .iter()
-                .copied()
-                .min_by(|&a, &b| cmp_utilization(utils[&a], utils[&b]).then(a.cmp(&b)))
-                .expect("at least two eligible shards");
+            };
             if source == target
                 || utils[&source] <= self.config.overflow_high
                 || utils[&target] >= self.config.overflow_low
@@ -394,27 +421,24 @@ impl ShardedFleetSim {
         Ok(())
     }
 
-    /// One knowledge-sync round: fold every shard store (shard-id order)
-    /// into a fleet-wide store, then every shard adopts the fold. Shards
-    /// sharing one `Arc` store are folded once; shards without a store
-    /// are skipped. Publish and seed counters stay local — syncing moves
-    /// knowledge, it is not a session finishing. Returns the number of
-    /// distinct stores that exchanged knowledge (0 when nothing synced).
+    /// One knowledge-sync round: fold every reachable shard's store
+    /// (shard-id order) into a fleet-wide store, then every one of them
+    /// adopts the fold. Each shard holds its own store (`run` rejects a
+    /// shared one); shards without a store are skipped. Publish and seed
+    /// counters stay local — syncing moves knowledge, it is not a session
+    /// finishing. Returns the number of stores that exchanged knowledge
+    /// (0 when nothing synced).
     fn sync_knowledge(&mut self) -> usize {
         let cut = self.partitioned();
-        let mut stores = Vec::new();
-        for (index, (_, sim)) in self.shards.iter().enumerate() {
-            // A partitioned shard's store neither contributes to nor
-            // adopts the fold this round.
-            if cut.contains(&index) {
-                continue;
-            }
-            if let Some(store) = sim.knowledge_ref() {
-                if !stores.iter().any(|s| Arc::ptr_eq(s, store)) {
-                    stores.push(Arc::clone(store));
-                }
-            }
-        }
+        // A partitioned shard's store neither contributes to nor adopts
+        // the fold this round.
+        let stores: Vec<_> = self
+            .shards
+            .iter()
+            .enumerate()
+            .filter(|(index, _)| !cut.contains(index))
+            .filter_map(|(_, (_, sim))| sim.knowledge_ref())
+            .collect();
         if stores.len() < 2 {
             return 0; // nothing to exchange
         }
@@ -878,6 +902,32 @@ mod tests {
             assert!(matches!(err, FleetError::InvalidConfig(_)), "{err:?}");
             assert_eq!(sharded.shards[0].1.epoch(), 0, "a shard stepped");
         }
+    }
+
+    #[test]
+    fn shards_sharing_a_knowledge_store_are_rejected_before_any_shard_steps() {
+        let shared = KnowledgeStore::new(MergePolicy::VisitWeighted).into_shared();
+        let own = KnowledgeStore::new(MergePolicy::VisitWeighted).into_shared();
+        let mut sharded = ShardedFleetSim::new(ShardConfig::default());
+        for (i, (name, store)) in [("east", &shared), ("west", &own), ("north", &shared)]
+            .into_iter()
+            .enumerate()
+        {
+            let mut sim = shard_sim(21 + i as u64, 6, 2);
+            sim.set_knowledge_store(Arc::clone(store));
+            sharded.add_shard(name, sim);
+        }
+        let err = sharded.run().unwrap_err();
+        match &err {
+            FleetError::InvalidConfig(message) => {
+                assert!(message.contains("east and north"), "{message}");
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+        for (name, sim) in &sharded.shards {
+            assert_eq!(sim.epoch(), 0, "shard {name} stepped");
+        }
+        assert_eq!(shared.lock().unwrap().seeds_served(), 0);
     }
 
     #[test]

@@ -3,17 +3,21 @@
 //!
 //! # Time model
 //!
-//! Virtual time advances in fixed-length epochs. At each boundary the
-//! coordinator (one thread) drains due arrivals through the dispatch
-//! policy — queued leftovers first, FIFO — then advances every node to
-//! the next boundary: nodes with live sessions on a scoped thread pool,
-//! idle ones on the coordinator itself. Within an epoch nodes are
-//! independent (a session placed at a boundary starts at that boundary;
-//! nothing moves mid-epoch), so node advancement is embarrassingly
-//! parallel and, crucially, **deterministic regardless of worker
-//! count**: every node computes exactly the same event sequence whether
-//! the fleet runs on 1 thread or 16, and aggregation always folds nodes
-//! in id order.
+//! Virtual time advances in fixed-length epochs. Each epoch runs in
+//! three phases. Pre-advance, the coordinator (one thread) drains due
+//! arrivals through the dispatch policy — queued leftovers first, FIFO.
+//! Then one [`Advance`] takes every active node to the next boundary:
+//! the nodes with live sessions go into one queue that the coordinator
+//! and scoped worker threads pull from, and the idle ones tick on the
+//! coordinator while the workers pull. Post-advance, the coordinator
+//! records, harvests and rebalances. A sharded run gathers every shard's
+//! nodes into the same single advance, so each lockstep epoch fans out
+//! once. Within an epoch nodes are independent (a session placed at a
+//! boundary starts at that boundary; nothing moves mid-epoch), so node
+//! advancement is embarrassingly parallel and, crucially,
+//! **deterministic regardless of worker count**: every node computes
+//! exactly the same event sequence whether the fleet runs on 1 thread or
+//! 16, and aggregation always folds nodes in id order.
 //!
 //! Everything stateful beyond node advancement happens on the
 //! coordinating thread *between* epochs, in a fixed order: finished
@@ -32,7 +36,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use mamut_metrics::fleet::FleetAggregate;
 use mamut_platform::Platform;
@@ -60,9 +64,11 @@ pub struct FleetConfig {
     /// Epoch length (virtual seconds); arrivals quantize up to the next
     /// boundary (admitted slightly late, never before they arrive).
     pub epoch_s: f64,
-    /// OS worker threads advancing nodes with live sessions within an
-    /// epoch (clamped to `[1, such nodes]`). Results do not depend on
-    /// this value.
+    /// Threads advancing nodes with live sessions within an epoch, the
+    /// coordinator included: the advance spawns one fewer, and never more
+    /// than such nodes minus one. A sharded run uses the largest value
+    /// among its shards, since one advance serves them all. Results do
+    /// not depend on this value.
     pub worker_threads: usize,
     /// Per-node power budget (W) exposed to power-aware dispatch.
     pub power_cap_w: f64,
@@ -122,6 +128,10 @@ pub struct FleetSim {
     /// MTTR numerator).
     recovery_epochs: u64,
     epoch: u64,
+    /// The nodes advancing this epoch (every active one) with their
+    /// utilization sampled after dispatch: filled pre-advance, read
+    /// post-advance, reused across epochs.
+    advancing: Vec<(usize, f64)>,
     rebalancer: Option<Box<dyn Rebalancer>>,
     knowledge: Option<SharedKnowledgeStore>,
     autoscaler: Option<Box<dyn Autoscaler>>,
@@ -181,6 +191,7 @@ impl FleetSim {
             report: FleetSummary::default(),
             recovery_epochs: 0,
             epoch: 0,
+            advancing: Vec::new(),
             rebalancer: None,
             knowledge: None,
             autoscaler: None,
@@ -454,12 +465,24 @@ impl FleetSim {
         Ok(())
     }
 
-    /// Simulates one epoch: autoscale, dispatch, advance, record,
-    /// harvest, rebalance — the exact op order the monolithic loop used,
-    /// so a run driven step-by-step is byte-identical to `run`.
+    /// Simulates one epoch: [`FleetSim::pre_advance`], one [`Advance`]
+    /// of this fleet's nodes, then [`FleetSim::post_advance`]. The
+    /// sharded coordinator runs the same three phases with one advance
+    /// across every shard, so a run driven step-by-step is byte-identical
+    /// to `run`.
     pub(crate) fn step_epoch(&mut self) -> Result<(), FleetError> {
+        self.pre_advance()?;
+        Advance::new([&mut *self]).run()?;
+        self.post_advance()
+    }
+
+    /// Steps 1–3 of an epoch, on the coordinator: the epoch-top trace
+    /// events, checkpoint and faults, autoscale, dispatch. Then samples
+    /// the utilization of every active node, the nodes about to advance:
+    /// it describes the demand each node carries *through* the epoch
+    /// being simulated.
+    pub(crate) fn pre_advance(&mut self) -> Result<(), FleetError> {
         let epoch_start = self.epoch as f64 * self.config.epoch_s;
-        let boundary = (self.epoch + 1) as f64 * self.config.epoch_s;
         if self.telemetry.enabled() {
             let at_us = self.epoch_us(self.epoch);
             self.telemetry.record(
@@ -490,18 +513,19 @@ impl FleetSim {
         self.aggregate
             .record_pool_size(self.epoch, self.active_node_count());
         self.dispatch_due(epoch_start)?;
-        // The nodes advancing this epoch (every active one), with their
-        // utilization sampled after placement, before advancement: it
-        // describes the demand each node carries *through* the epoch
-        // being simulated. Each burns one node-epoch.
-        let active: Vec<(usize, f64)> = self
-            .nodes
-            .iter()
-            .filter(|n| n.is_active())
-            .map(|n| (n.id(), n.utilization()))
-            .collect();
-        self.advance_nodes(boundary)?;
-        for &(id, util) in &active {
+        self.advancing.clear();
+        let active = self.nodes.iter().filter(|n| n.is_active());
+        self.advancing
+            .extend(active.map(|n| (n.id(), n.utilization())));
+        Ok(())
+    }
+
+    /// Steps 5–7 of an epoch, on the coordinator, once the nodes have
+    /// advanced: record each advanced node's epoch (one node-epoch each),
+    /// trace the session ends, harvest knowledge, rebalance, close the
+    /// epoch.
+    pub(crate) fn post_advance(&mut self) -> Result<(), FleetError> {
+        for &(id, util) in &self.advancing {
             let node = &self.nodes[id];
             let (frames, violations) = node.qos_totals();
             let sensor = node.server().sensor();
@@ -520,7 +544,7 @@ impl FleetSim {
         // keeps both independent of the worker count.
         if self.telemetry.enabled() {
             let at_end_us = self.epoch_us(self.epoch + 1);
-            for &(id, _) in &active {
+            for &(id, _) in &self.advancing {
                 for &(_, session, frames) in self.nodes[id].finished_sessions() {
                     self.telemetry.record(
                         self.epoch,
@@ -534,7 +558,7 @@ impl FleetSim {
                 }
             }
         }
-        self.harvest_knowledge(&active);
+        self.harvest_knowledge();
         self.rebalance()?;
         self.telemetry.record(
             self.epoch,
@@ -1122,15 +1146,15 @@ impl FleetSim {
     }
 
     /// Publishes the knowledge the advance captured from the sessions
-    /// that finished during this epoch, `active` nodes in id order
+    /// that finished during this epoch, advanced nodes in id order
     /// (determinism). Retired nodes did not advance, so they have nothing
     /// new to publish.
-    fn harvest_knowledge(&mut self, active: &[(usize, f64)]) {
+    fn harvest_knowledge(&mut self) {
         let Some(store) = &self.knowledge else {
             return;
         };
         let mut store = store.lock().expect("knowledge store poisoned");
-        for &(id, _) in active {
+        for &(id, _) in &self.advancing {
             self.nodes[id].harvest_finished(&mut store);
         }
     }
@@ -1290,71 +1314,117 @@ impl FleetSim {
         }
         Ok(())
     }
+}
 
-    /// Advances every *active* node to `boundary` (retired nodes are
-    /// powered off and stay where their clocks stopped). A node with no
-    /// live session ticks right here on the coordinator: its epoch is one
-    /// idle-power sensor record, cheaper than a hand-off. Nodes with live
-    /// sessions fan out over scoped OS threads in contiguous chunks, each
-    /// worker advancing its chunk sequentially (end-of-epoch prune
-    /// included); with none, no thread is spawned. Nodes share nothing
-    /// within an epoch, so where a node advances affects wall-clock time
-    /// only. A panicking advance (a misbehaving controller, say) is
-    /// reported as [`FleetError::WorkerPanicked`]; the first failure in
-    /// node-id order wins, whichever thread advanced the failing node.
-    fn advance_nodes(&mut self, boundary: f64) -> Result<(), FleetError> {
-        let max_events = self.config.max_events_per_epoch;
-        let mut failures = Vec::new();
-        let mut live: Vec<&mut FleetNode> = Vec::new();
-        for node in self.nodes.iter_mut().filter(|n| n.is_active()) {
-            if node.all_finished() {
-                failures.extend(advance_node(node, boundary, max_events));
-            } else {
-                live.push(node);
+/// One epoch's node advance over one or more fleets — a plain run's one
+/// fleet, or every shard of a sharded run in lockstep — and the only
+/// fan-out in the crate. It takes every *active* node to its fleet's
+/// boundary (retired nodes are powered off and stay where their clocks
+/// stopped).
+///
+/// The nodes with live or queued sessions go into one queue. `workers
+/// − 1` scoped threads and the coordinator pull from it one node at a
+/// time, where `workers` is the largest [`FleetConfig::worker_threads`]
+/// among the fleets, clamped to the queue's length: at 1 worker, or with
+/// no such node, no thread is spawned. While the spawned threads pull,
+/// the coordinator first ticks the idle nodes (an idle epoch is one
+/// idle-power sensor record, cheaper than a hand-off), then joins the
+/// pull. Nodes share nothing within an epoch, so where a node advances
+/// affects wall-clock time only.
+///
+/// Each node advances under `catch_unwind`: a panicking controller or
+/// factory is reported as [`FleetError::WorkerPanicked`]. The failure
+/// with the lowest `(shard, node)` address wins, whichever thread
+/// advanced the failing node.
+#[derive(Default)]
+pub(crate) struct Advance<'a> {
+    workers: usize,
+    /// Nodes with live or queued sessions, in (shard, node) order.
+    live: Vec<NodeJob<'a>>,
+    /// Active nodes with nothing to run.
+    idle: Vec<NodeJob<'a>>,
+}
+
+/// One node's part in an [`Advance`].
+struct NodeJob<'a> {
+    shard: usize,
+    node: &'a mut FleetNode,
+    boundary: f64,
+    max_events: u64,
+}
+
+impl<'a> Advance<'a> {
+    /// Gathers every active node of `fleets`, each to advance to the end
+    /// of its fleet's current epoch.
+    pub(crate) fn new(fleets: impl IntoIterator<Item = &'a mut FleetSim>) -> Self {
+        let mut advance = Advance::default();
+        for fleet in fleets {
+            let config = &fleet.config;
+            advance.workers = advance.workers.max(config.worker_threads);
+            let (shard, max_events) = (fleet.shard_index, config.max_events_per_epoch);
+            let boundary = (fleet.epoch + 1) as f64 * config.epoch_s;
+            for node in fleet.nodes.iter_mut().filter(|n| n.is_active()) {
+                let queue = if node.all_finished() {
+                    &mut advance.idle
+                } else {
+                    &mut advance.live
+                };
+                queue.push(NodeJob {
+                    shard,
+                    node,
+                    boundary,
+                    max_events,
+                });
             }
         }
-        if !live.is_empty() {
-            let workers = self.config.worker_threads.clamp(1, live.len());
-            let chunk_len = live.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = live
-                    .chunks_mut(chunk_len)
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            chunk
-                                .iter_mut()
-                                .filter_map(|node| advance_node(node, boundary, max_events))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    // `advance_node` catches every panic: no worker unwinds.
-                    failures.extend(handle.join().unwrap_or_else(|p| resume_unwind(p)));
-                }
-            });
-        }
-        match failures.into_iter().min_by_key(|&(id, _)| id) {
+        advance
+    }
+
+    /// Advances every gathered node; see [`Advance`].
+    pub(crate) fn run(self) -> Result<(), FleetError> {
+        let Advance {
+            workers,
+            mut live,
+            mut idle,
+        } = self;
+        let spawned = workers.min(live.len()).saturating_sub(1);
+        let queue = Mutex::new(live.iter_mut());
+        // The lock is held for `next` only, never across an advance.
+        let pull = || {
+            std::iter::from_fn(|| queue.lock().unwrap_or_else(PoisonError::into_inner).next())
+                .filter_map(NodeJob::advance)
+                .collect::<Vec<_>>()
+        };
+        let failures = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..spawned).map(|_| scope.spawn(pull)).collect();
+            let mut failures: Vec<_> = idle.iter_mut().filter_map(NodeJob::advance).collect();
+            failures.extend(pull());
+            for handle in handles {
+                // `NodeJob::advance` catches every panic: no worker unwinds.
+                failures.extend(handle.join().unwrap_or_else(|p| resume_unwind(p)));
+            }
+            failures
+        });
+        match failures.into_iter().min_by_key(|&(at, _)| at) {
             Some((_, failure)) => Err(failure),
             None => Ok(()),
         }
     }
 }
 
-/// Advances one node to `boundary` under `catch_unwind`, so a panicking
-/// controller surfaces as a typed error instead of unwinding the thread.
-/// Returns the failure, if any, with the node's id.
-fn advance_node(
-    node: &mut FleetNode,
-    boundary: f64,
-    max_events: u64,
-) -> Option<(usize, FleetError)> {
-    let id = node.id();
-    let advance = AssertUnwindSafe(|| node.run_epoch(boundary, max_events));
-    match catch_unwind(advance) {
-        Ok(Ok(_)) => None,
-        Ok(Err(source)) => Some((id, FleetError::Node { node: id, source })),
-        Err(_) => Some((id, FleetError::WorkerPanicked { node: id })),
+impl NodeJob<'_> {
+    /// Advances the node under `catch_unwind`, so a panic surfaces as a
+    /// typed error instead of unwinding the thread. Returns the failure,
+    /// if any, with the node's `(shard, node)` address.
+    fn advance(&mut self) -> Option<((usize, usize), FleetError)> {
+        let id = self.node.id();
+        let at = (self.shard, id);
+        let advance = AssertUnwindSafe(|| self.node.run_epoch(self.boundary, self.max_events));
+        match catch_unwind(advance) {
+            Ok(Ok(_)) => None,
+            Ok(Err(source)) => Some((at, FleetError::Node { node: id, source })),
+            Err(_) => Some((at, FleetError::WorkerPanicked { node: id })),
+        }
     }
 }
 

@@ -1,11 +1,13 @@
 //! Sharded-coordinator edge cases exercised through the public facade:
 //! cross-shard session overflow landing in a shard that is itself
 //! draining a node and the single-shard degenerate configuration have to
-//! compose without changing the physics, at any worker count. CI
-//! executes this file in the same 1/2/8-worker `MAMUT_FLEET_WORKERS`
-//! matrix as `fleet_determinism.rs`.
+//! compose without changing the physics, at any worker count and with
+//! shards that ask for different worker counts; node failures in several
+//! shards of one advance report the lowest `(shard, node)`. CI executes
+//! this file in the same 1/2/8-worker `MAMUT_FLEET_WORKERS` matrix as
+//! `fleet_determinism.rs`.
 
-use mamut::fleet::{Autoscaler, ScaleDecision, ScaleSignals, SessionRequest};
+use mamut::fleet::{Autoscaler, FleetError, ScaleDecision, ScaleSignals, SessionRequest};
 use mamut::prelude::*;
 
 /// Worker counts to compare against the sequential reference: the
@@ -100,17 +102,19 @@ fn cold_shard(workers: usize) -> FleetSim {
     sim
 }
 
-fn run(workers: usize) -> ShardedFleetSummary {
+/// The hot/cold deployment with each shard's own worker count: one
+/// advance serves both shards at the larger of the two.
+fn run(hot_workers: usize, cold_workers: usize) -> ShardedFleetSummary {
     let mut sharded =
         ShardedFleetSim::new(ShardConfig::default().with_overflow_watermarks(0.5, 0.9));
-    sharded.add_shard("hot", hot_shard(workers));
-    sharded.add_shard("cold", cold_shard(workers));
+    sharded.add_shard("hot", hot_shard(hot_workers));
+    sharded.add_shard("cold", cold_shard(cold_workers));
     sharded.run().expect("sharded run completes")
 }
 
 #[test]
 fn overflow_lands_in_a_draining_shard_without_losing_work() {
-    let summary = run(2);
+    let summary = run(2, 2);
     let (_, hot) = &summary.shards[0];
     let (_, cold) = &summary.shards[1];
 
@@ -143,12 +147,52 @@ fn overflow_lands_in_a_draining_shard_without_losing_work() {
 
 #[test]
 fn overflow_into_draining_shard_is_deterministic() {
-    let reference = run(1).to_string();
-    for workers in worker_counts(&[2, 8]) {
+    let reference = run(1, 1).to_string();
+    let uniform = worker_counts(&[2, 8]).into_iter().map(|w| (w, w));
+    for (hot, cold) in uniform.chain([(1, 8), (8, 1)]) {
         assert_eq!(
             reference,
-            run(workers).to_string(),
-            "diverged at {workers} workers"
+            run(hot, cold).to_string(),
+            "diverged at {hot}/{cold} workers"
+        );
+    }
+}
+
+/// A shard of two nodes with a fixed-knob factory on every node but
+/// `panicking`, whose factory panics on its first session: four
+/// sessions at t = 0 go round-robin, two to each node, so the panic
+/// fires in the advance of epoch 0.
+fn shard_with_panicking_node(workers: usize, panicking: usize, first_id: u64) -> FleetSim {
+    let arrivals = (first_id..first_id + 4)
+        .map(|i| request(i, 0.0, false, 60))
+        .collect();
+    let mut sim = FleetSim::new(
+        FleetConfig::default().with_worker_threads(workers),
+        Box::new(RoundRobin::new()),
+        Workload::replay(arrivals),
+    );
+    for node in 0..2 {
+        if node == panicking {
+            sim.add_node(Box::new(|_| panic!("factory blew up")));
+        } else {
+            sim.add_node(factory());
+        }
+    }
+    sim
+}
+
+#[test]
+fn the_lowest_shard_then_node_failure_wins_the_advance() {
+    // Shard 0's node 1 and shard 1's node 0 fail in the same advance. A
+    // node-id-only rule would report node 0.
+    for workers in worker_counts(&[1, 2, 8]) {
+        let mut sharded = ShardedFleetSim::new(ShardConfig::default());
+        sharded.add_shard("east", shard_with_panicking_node(workers, 1, 0));
+        sharded.add_shard("west", shard_with_panicking_node(workers, 0, 100));
+        assert_eq!(
+            sharded.run().unwrap_err(),
+            FleetError::WorkerPanicked { node: 1 },
+            "{workers} workers"
         );
     }
 }

@@ -7,8 +7,8 @@
 //! aborts a run.
 
 use mamut::fleet::{
-    ControllerFactory, DispatchDecision, Dispatcher, FleetError, NodeView, PolicySource,
-    SessionRequest, TRACE_FORMAT,
+    warm_start_factory, ControllerFactory, DispatchDecision, Dispatcher, FleetError, NodeView,
+    PolicySource, SessionRequest, TRACE_FORMAT,
 };
 use mamut::prelude::*;
 use proptest::prelude::*;
@@ -50,10 +50,14 @@ fn provisioner() -> mamut::fleet::NodeProvisioner {
 }
 
 fn workload(seed: u64) -> Workload {
+    spaced_workload(seed, 0.5)
+}
+
+fn spaced_workload(seed: u64, mean_interarrival_s: f64) -> Workload {
     Workload::try_generate(&WorkloadConfig {
         seed,
         sessions: 16,
-        mean_interarrival_s: 0.5,
+        mean_interarrival_s,
         hr_ratio: 0.5,
         live_ratio: 0.4,
         vod_frames: (120, 300),
@@ -247,26 +251,31 @@ fn sharded_traces_carry_coordinator_lane_events() {
             Box::new(MamutController::new(cfg.with_seed(req.seed)).unwrap())
         })
     };
-    let build = || {
+    let build = |workers| {
         let mut sharded = ShardedFleetSim::new(ShardConfig::default().with_sync_interval(2));
         for (i, name) in ["east", "west"].iter().enumerate() {
             let store = KnowledgeStore::new(MergePolicy::VisitWeighted).into_shared();
             let mut sim = FleetSim::new(
-                FleetConfig::default().with_worker_threads(2),
+                FleetConfig::default().with_worker_threads(workers),
                 Box::new(LeastLoaded::new()),
-                workload(31 + i as u64),
+                spaced_workload(31 + i as u64, 3.0),
             );
-            sim.add_node(learner_factory());
-            sim.add_node(learner_factory());
-            sim.set_knowledge_store(std::sync::Arc::clone(&store));
+            for _ in 0..2 {
+                let store = std::sync::Arc::clone(&store);
+                sim.add_node(warm_start_factory(store, learner_factory()));
+            }
+            sim.set_knowledge_store(store);
             sharded.add_shard(*name, sim);
         }
         sharded.set_telemetry(TelemetryMode::Full);
         sharded
     };
-    let mut sharded = build();
+    let mut sharded = build(1);
     let summary = sharded.run().expect("sharded run completes");
     let trace = sharded.trace();
+    for (name, shard) in &summary.shards {
+        assert!(shard.warm_starts > 0, "shard {name} never seeded");
+    }
 
     assert_eq!(trace.count_kind("knowledge-sync"), summary.knowledge_syncs);
     assert!(summary.knowledge_syncs > 0, "sync cadence never fired");
@@ -282,10 +291,18 @@ fn sharded_traces_carry_coordinator_lane_events() {
     let bytes = trace.encode();
     assert_eq!(FleetTrace::decode(&bytes).expect("decodes"), trace);
 
-    // And the whole merged trace is deterministic across repeat runs.
-    let mut again = build();
-    again.run().expect("sharded run completes");
-    assert_eq!(again.trace().encode(), bytes);
+    // And the whole merged trace is byte-identical at every worker
+    // count: one advance mixes both shards' warm starts between the
+    // coordinator and the workers.
+    for workers in worker_counts(&[2, 8]) {
+        let mut again = build(workers);
+        again.run().expect("sharded run completes");
+        assert_eq!(
+            again.trace().encode(),
+            bytes,
+            "trace diverged at {workers} workers"
+        );
+    }
 }
 
 /// One representative event per sampled shape, covering every field
