@@ -28,9 +28,10 @@
 //!   shrink the pool per epoch; shrinking drains live sessions to
 //!   peers before a node is decommissioned, growing commissions
 //!   clock-aligned nodes that warm-start from the knowledge store;
-//! * [`FleetSummary`] — per-node and cluster-wide ∆, power, energy,
-//!   rejected/queued counts, autoscale events, the pool-size timeline
-//!   and a utilization histogram, built on `mamut_metrics::fleet`;
+//! * [`FleetSummary`] — per-node and cluster-wide ∆, power and energy
+//!   read from the nodes, rejected/queued counts, autoscale events, and
+//!   the pool-size timeline and utilization histogram from
+//!   `mamut_metrics::fleet`;
 //! * [`ShardedFleetSim`] — regions/cells of nodes, each a full
 //!   `FleetSim` with its own autoscaler, rebalancer and knowledge-store
 //!   shard, driven in lockstep with periodic inter-shard knowledge sync

@@ -100,6 +100,16 @@ fn qos_of(session: &TranscodeSession) -> (u64, u64) {
     (session.qos().frames(), session.qos().violations())
 }
 
+/// ∆ over `frames`: the percentage below the FPS target (0.0 without
+/// frames).
+pub(crate) fn delta_percent(violations: u64, frames: u64) -> f64 {
+    if frames == 0 {
+        0.0
+    } else {
+        100.0 * violations as f64 / frames as f64
+    }
+}
+
 /// The power term of a session at `knobs` under `server`'s throttle cap
 /// (the knob frequency clamped to the cap before the DVFS snap, as the
 /// engine's rate rebuild does).
@@ -381,11 +391,6 @@ impl FleetNode {
     /// A view over the maintained counters with the given shapes.
     fn view_with(&self, resident_shapes: Vec<StreamShape>) -> NodeView {
         let (frames, violations) = self.epoch_qos;
-        let qos_violation_percent = if frames == 0 {
-            0.0
-        } else {
-            100.0 * violations as f64 / frames as f64
-        };
         NodeView {
             node_id: self.id,
             active_sessions: self.live.len(),
@@ -394,7 +399,7 @@ impl FleetNode {
             hw_threads: self.server.platform().topology().hw_threads(),
             power_w: self.power_w,
             power_cap_w: self.power_cap_w,
-            qos_violation_percent,
+            qos_violation_percent: delta_percent(violations, frames),
             resident_shapes,
         }
     }
@@ -420,7 +425,7 @@ impl FleetNode {
     }
 
     /// Lifetime `(frames, violations)` over every session resident here,
-    /// finished ones included — what the per-epoch aggregate records.
+    /// finished ones included — what its summary row and epoch samples read.
     pub(crate) fn qos_totals(&self) -> (u64, u64) {
         self.lifetime_qos
     }
@@ -686,7 +691,8 @@ impl FleetNode {
     /// Per-session results measured so far, one row per session in
     /// session-id order: live sessions and the archived rows of finished
     /// ones. Queued admissions are not on the server yet, and migrated
-    /// sessions report from their new node.
+    /// sessions report from their new node. This is the drill-down behind
+    /// the node's [`NodeReport`](crate::NodeReport) row.
     pub fn summary(&self) -> RunSummary {
         self.server.summary()
     }

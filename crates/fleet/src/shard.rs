@@ -225,6 +225,13 @@ impl ShardedFleetSim {
         self.shards.len()
     }
 
+    /// The shards with their region names, in shard order: read-only
+    /// drill-down, each shard's [`FleetSim::nodes`] holding the
+    /// per-session rows behind its summary.
+    pub fn shards(&self) -> &[(String, FleetSim)] {
+        &self.shards
+    }
+
     /// Runs every shard's workload to completion in lockstep epochs.
     /// Each epoch runs every shard's pre-advance steps in shard order,
     /// one advance of every shard's active nodes, every shard's
@@ -627,7 +634,7 @@ mod tests {
     use super::*;
     use crate::dispatch::{LeastLoaded, RoundRobin};
     use crate::knowledge::{KnowledgeStore, MergePolicy, SessionClass};
-    use crate::node::ControllerFactory;
+    use crate::node::{ControllerFactory, FleetNode};
     use crate::sim::FleetConfig;
     use crate::workload::{SessionRequest, Workload, WorkloadConfig};
     use mamut_core::{FixedController, KnobSettings};
@@ -765,7 +772,8 @@ mod tests {
     #[test]
     fn overflow_routes_sessions_from_hot_to_cold_shards() {
         let expected_frames = 6 * 600;
-        let summary = hot_and_cold().run().unwrap();
+        let mut sharded = hot_and_cold();
+        let summary = sharded.run().unwrap();
         assert!(
             summary.inter_shard_migrations > 0,
             "the hot shard never shed load: {summary}"
@@ -786,6 +794,18 @@ mod tests {
             summary.shards[1].1.total_frames > 0,
             "overflow sessions finish on the cold shard"
         );
+        // Every session keeps one row, on the node of whichever shard it
+        // finished in.
+        let runs: Vec<_> = sharded
+            .shards()
+            .iter()
+            .flat_map(|(_, sim)| sim.nodes())
+            .map(FleetNode::summary)
+            .collect();
+        let rows: Vec<_> = runs.iter().flat_map(|run| &run.sessions).collect();
+        assert_eq!(rows.len() as u64, summary.total_sessions());
+        let frames: u64 = rows.iter().map(|row| row.frames).sum();
+        assert_eq!(frames, summary.total_frames());
         let text = summary.to_string();
         assert!(text.contains("inter-shard migrations"), "{text}");
     }

@@ -30,23 +30,23 @@
 //! # Accounting across migration
 //!
 //! A session carries its QoS history with it: after a move, its frames
-//! and violations count toward the *destination* node's per-node rows
-//! (per-node totals are re-sampled every epoch). Cluster-wide totals
-//! are unaffected — a migration is a move, not an admission.
+//! and violations count toward the *destination* node's row (each row
+//! reads its node's own totals, which move with the sessions). Cluster-wide
+//! totals are unaffected — a migration is a move, not an admission.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use mamut_metrics::fleet::FleetAggregate;
-use mamut_platform::Platform;
+use mamut_platform::{Platform, PowerSensor};
 
 use crate::autoscale::{Autoscaler, PolicySource, ScaleDecision, ScaleSignals};
 use crate::dispatch::{cmp_utilization, DispatchDecision, Dispatcher, NodeView};
 use crate::error::FleetError;
 use crate::fault::{CheckpointBundle, CheckpointPolicy, FaultEvent, FaultPlan, NodeCheckpoint};
 use crate::knowledge::{warm_start_factory, SharedKnowledgeStore};
-use crate::node::{ControllerFactory, FleetNode, MigratedSession};
+use crate::node::{delta_percent, ControllerFactory, FleetNode, MigratedSession};
 use crate::rebalance::Rebalancer;
 use crate::summary::{FleetSummary, NodeReport};
 use crate::telemetry::{FleetTrace, TelemetryCollector, TelemetryEvent, TelemetryMode};
@@ -117,8 +117,9 @@ pub struct FleetSim {
     nodes: Vec<FleetNode>,
     pending: VecDeque<SessionRequest>,
     queued: VecDeque<SessionRequest>,
-    /// What the run derives from node-epoch samples: per-node rows, the
-    /// pool timeline, utilization and tail ledgers.
+    /// What the run derives from node-epoch samples: per-node
+    /// utilization and tail ledgers, the pool timeline, the utilization
+    /// histogram and the cluster tail. Each node owns its own totals.
     aggregate: FleetAggregate,
     /// The summary this run will return. Events are counted straight
     /// into it as they happen, and fault marks land in its
@@ -375,9 +376,10 @@ impl FleetSim {
 
     /// Every active node's view, in id order — built only for the
     /// policies that read views (dispatcher, autoscaler, rebalancer);
-    /// the fleet's own choices read [`FleetNode::utilization`].
-    fn active_views(&self) -> Vec<NodeView> {
-        self.nodes
+    /// the fleet's own choices read [`FleetNode::utilization`]. Takes the
+    /// nodes alone, so a policy borrowed from the fleet can read them.
+    fn active_views(nodes: &[FleetNode]) -> Vec<NodeView> {
+        nodes
             .iter()
             .filter(|n| n.is_active())
             .map(FleetNode::view)
@@ -399,7 +401,9 @@ impl FleetSim {
     /// (or rejected), every admitted session transcoded to the end.
     /// Returns the summary the run counted its events into: each run
     /// starts from a fresh one, so its counts and fault marks are this
-    /// run's alone.
+    /// run's alone. Its node rows and cluster ∆, power, energy and frame
+    /// totals read the nodes' lifetime totals, on a rerun of the same
+    /// fleet too.
     ///
     /// # Errors
     ///
@@ -528,15 +532,9 @@ impl FleetSim {
         for &(id, util) in &self.advancing {
             let node = &self.nodes[id];
             let (frames, violations) = node.qos_totals();
-            let sensor = node.server().sensor();
-            self.aggregate.record_node_epoch(
-                id,
-                frames,
-                violations,
-                sensor.total_energy_j(),
-                sensor.total_time_s(),
-                util,
-            );
+            let duration_s = node.server().sensor().total_time_s();
+            self.aggregate
+                .record_node_epoch(id, frames, violations, duration_s, util);
         }
         // Session completions read each active node's finished-session
         // list and the harvest its captured knowledge; both hold exactly
@@ -579,8 +577,8 @@ impl FleetSim {
     }
 
     /// Completes the run's report: the counts gathered as events
-    /// happened, plus the fields derived from the node-epoch aggregate,
-    /// the nodes and the knowledge store.
+    /// happened, plus the fields read from the nodes' own totals, the
+    /// node-epoch aggregate and the knowledge store.
     pub(crate) fn finish_run(&mut self) -> FleetSummary {
         let mut report = std::mem::take(&mut self.report);
         // Fault marks were counted in firing order; interleave them with
@@ -593,21 +591,35 @@ impl FleetSim {
             .nodes
             .iter()
             .zip(&agg.nodes)
-            .map(|(node, n)| NodeReport {
-                node_id: node.id(),
-                sessions: node.sessions_admitted(),
-                migrated_in: node.sessions_migrated_in(),
-                migrated_out: node.sessions_migrated_out(),
-                retired: !node.is_active(),
-                frames: n.frames,
-                violation_percent: n.violation_percent(),
-                mean_power_w: n.mean_power_w(),
-                energy_j: n.energy_j,
-                mean_utilization: n.utilization.mean(),
-                qos_slack_p95: n.tail.qos_slack_percentiles(&[95.0])[0],
-                frame_latency_p99_ms: n.tail.frame_latency_percentiles_ms(&[99.0])[0],
+            .map(|(node, n)| {
+                let (frames, violations) = node.qos_totals();
+                let sensor = node.server().sensor();
+                NodeReport {
+                    node_id: node.id(),
+                    sessions: node.sessions_admitted(),
+                    migrated_in: node.sessions_migrated_in(),
+                    migrated_out: node.sessions_migrated_out(),
+                    retired: !node.is_active(),
+                    frames,
+                    violation_percent: delta_percent(violations, frames),
+                    mean_power_w: sensor.lifetime_average(),
+                    energy_j: sensor.total_energy_j(),
+                    mean_utilization: n.utilization.mean(),
+                    qos_slack_p95: n.tail.qos_slack_percentiles(&[95.0])[0],
+                    frame_latency_p99_ms: n.tail.frame_latency_percentiles_ms(&[99.0])[0],
+                }
             })
             .collect();
+        // Cluster totals over the same per-node values, in node-id order.
+        let (frames, violations) = self
+            .nodes
+            .iter()
+            .map(FleetNode::qos_totals)
+            .fold((0, 0), |(f, v), (nf, nv)| (f + nf, v + nv));
+        let sensors = || self.nodes.iter().map(|n| n.server().sensor());
+        let energy: f64 = sensors().map(PowerSensor::total_energy_j).sum();
+        let time: f64 = sensors().map(PowerSensor::total_time_s).sum();
+        let mean_power_w = if time <= 0.0 { 0.0 } else { energy / time };
         let demanded = agg.node_epochs + report.down_node_epochs;
         let slack = agg.tail.qos_slack_percentiles(&[50.0, 95.0, 99.0]);
         let latency = agg.tail.frame_latency_percentiles_ms(&[95.0, 99.0]);
@@ -616,10 +628,10 @@ impl FleetSim {
             epochs: self.epoch,
             duration_s: self.epoch as f64 * self.config.epoch_s,
             nodes,
-            cluster_violation_percent: agg.cluster_violation_percent(),
-            mean_power_w: agg.mean_power_w(),
-            total_energy_j: agg.total_energy_j(),
-            total_frames: agg.total_frames(),
+            cluster_violation_percent: delta_percent(violations, frames),
+            mean_power_w,
+            total_energy_j: energy,
+            total_frames: frames,
             total_sessions: self.nodes.iter().map(FleetNode::sessions_admitted).sum(),
             warm_starts: self.seeds_served() - self.seeds_at_start,
             node_epochs: agg.node_epochs,
@@ -643,7 +655,6 @@ impl FleetSim {
             frame_latency_p95_ms: latency[0],
             frame_latency_p99_ms: latency[1],
             trace_events: self.telemetry.events_recorded(),
-            node_runs: self.nodes.iter().map(FleetNode::summary).collect(),
             ..report
         }
     }
@@ -709,10 +720,10 @@ impl FleetSim {
     /// this boundary's arrivals and a retiring node stops taking new
     /// work immediately.
     fn autoscale(&mut self, epoch_start: f64) -> Result<(), FleetError> {
-        if self.autoscaler.is_none() {
+        let Some(scaler) = self.autoscaler.as_mut() else {
             return Ok(());
-        }
-        let views = self.active_views();
+        };
+        let views = Self::active_views(&self.nodes);
         let arrivals_due = self
             .pending
             .iter()
@@ -726,9 +737,15 @@ impl FleetSim {
             queued_sessions: self.queued.len(),
             pending_sessions: self.pending.len() - arrivals_due,
         };
-        let scaler = self.autoscaler.as_mut().expect("presence checked above");
         let decision = scaler.plan(&signals);
         let source = scaler.decision_source();
+        // The detail string is policy provenance for the trace only; it is
+        // built only while tracing, so tracing-off runs never pay for its
+        // formatting.
+        let detail = self
+            .telemetry
+            .enabled()
+            .then(|| scaler.decision_detail().unwrap_or_default());
         match source {
             PolicySource::Heuristic => self.report.heuristic_decisions += 1,
             PolicySource::Greedy => self.report.greedy_actions += 1,
@@ -742,21 +759,12 @@ impl FleetSim {
                 }
             }
         }
-        if self.telemetry.enabled() {
+        if let Some(detail) = detail {
             let delta = match decision {
                 ScaleDecision::Hold => 0,
                 ScaleDecision::Grow(count) => count as i64,
                 ScaleDecision::Shrink(count) => -(count as i64),
             };
-            // The detail string is policy provenance for the trace only;
-            // it is built exclusively here, so tracing-off runs never
-            // pay for its formatting.
-            let detail = self
-                .autoscaler
-                .as_ref()
-                .expect("presence checked above")
-                .decision_detail()
-                .unwrap_or_default();
             self.telemetry.record(
                 self.epoch,
                 self.epoch_us(self.epoch),
@@ -782,11 +790,12 @@ impl FleetSim {
     fn commission_nodes(&mut self, count: usize, epoch_start: f64) -> Result<(), FleetError> {
         let count = count.min(self.config.max_pool_nodes.saturating_sub(self.nodes.len()));
         for _ in 0..count {
-            let (platform, factory) = (self
-                .provisioner
-                .as_mut()
-                .expect("set_autoscaler installs a provisioner"))(
-            );
+            // `set_autoscaler` installs a provisioner with every scaler,
+            // and a crash schedules a replacement only when one exists.
+            let Some(provision) = self.provisioner.as_mut() else {
+                break;
+            };
+            let (platform, factory) = provision();
             let factory = match &self.knowledge {
                 Some(store) => warm_start_factory(Arc::clone(store), factory),
                 None => factory,
@@ -814,13 +823,15 @@ impl FleetSim {
             if self.active_node_count() <= 1 {
                 break; // the pool never empties, whatever the policy says
             }
-            let (victim, _) = self
+            let Some((victim, _)) = self
                 .nodes
                 .iter()
                 .filter(|n| n.is_active())
                 .map(|n| (n.id(), n.utilization()))
                 .min_by(|a, b| cmp_utilization(a.1, b.1).then(b.0.cmp(&a.0)))
-                .expect("two or more active nodes");
+            else {
+                break;
+            };
             self.drain_and_retire(victim)?;
         }
         Ok(())
@@ -858,10 +869,6 @@ impl FleetSim {
                 );
             }
         }
-        // Final resample of the retired node's row: its drained sessions
-        // took their QoS history to their new homes, so without this the
-        // departed frames would be counted on both rows.
-        self.resample_node_totals(victim);
         self.nodes[victim].retire()?;
         self.report.scale_downs += 1;
         self.telemetry.record(
@@ -1076,12 +1083,10 @@ impl FleetSim {
             let ck = covered.get(&request.id);
             let restored =
                 self.nodes[target].adopt_recovered(&request, ck.map(|c| c.bytes.as_slice()));
-            let redone = if restored {
-                let ck = ck.expect("restored implies a checkpoint entry");
-                frames_at_crash.saturating_sub(ck.frames_completed)
-            } else {
-                frames_at_crash
-            };
+            // Work up to the checkpoint survives a restore; a cold restart
+            // re-does everything.
+            let kept = ck.filter(|_| restored).map_or(0, |c| c.frames_completed);
+            let redone = frames_at_crash.saturating_sub(kept);
             self.telemetry.record(
                 self.epoch,
                 self.epoch_us(self.epoch),
@@ -1095,30 +1100,12 @@ impl FleetSim {
             self.report.sessions_recovered += 1;
             self.report.frames_redone += redone;
         }
-        // The victim's row keeps only what stayed: finished sessions'
-        // history. Its dead sessions' QoS moved (or restarted) elsewhere.
-        self.resample_node_totals(victim);
         if self.provisioner.is_some() {
             let delay = self.fault_plan.replacement_delay_epochs.max(1);
             self.pending_replacements
                 .push((self.epoch + delay, self.epoch));
         }
         Ok(())
-    }
-
-    /// Re-samples `node`'s per-node row after sessions left it outside
-    /// an advance (drain, crash), so their history counts only where it
-    /// went.
-    fn resample_node_totals(&mut self, node: usize) {
-        let (frames, violations) = self.nodes[node].qos_totals();
-        let sensor = self.nodes[node].server().sensor();
-        self.aggregate.resample_node_totals(
-            node,
-            frames,
-            violations,
-            sensor.total_energy_j(),
-            sensor.total_time_s(),
-        );
     }
 
     /// Whether the fleet is running degraded: the fault plan set a
@@ -1163,15 +1150,10 @@ impl FleetSim {
     /// migration candidate per directive, moved with controller and
     /// in-flight frame between the time-aligned nodes.
     fn rebalance(&mut self) -> Result<(), FleetError> {
-        if self.rebalancer.is_none() {
+        let Some(rebalancer) = self.rebalancer.as_mut() else {
             return Ok(());
-        }
-        let views = self.active_views();
-        let directives = self
-            .rebalancer
-            .as_mut()
-            .expect("presence checked above")
-            .plan(self.epoch, &views);
+        };
+        let directives = rebalancer.plan(self.epoch, &Self::active_views(&self.nodes));
         for directive in directives {
             let (from, to) = (directive.from, directive.to);
             let valid = from < self.nodes.len()
@@ -1231,10 +1213,13 @@ impl FleetSim {
         if self.queued.is_empty() && !self.pending.front().is_some_and(|r| r.arrival_s <= now) {
             return Ok(()); // quiet boundary: skip the view build entirely
         }
+        let arrived = self
+            .pending
+            .iter()
+            .take_while(|r| r.arrival_s <= now)
+            .count();
         let mut due: Vec<SessionRequest> = self.queued.drain(..).collect();
-        while self.pending.front().is_some_and(|r| r.arrival_s <= now) {
-            due.push(self.pending.pop_front().expect("front checked"));
-        }
+        due.extend(self.pending.drain(..arrived));
         let at_us = self.epoch_us(self.epoch);
         if self.degraded() {
             // Graceful degradation: below the watermark the survivors
@@ -1262,7 +1247,7 @@ impl FleetSim {
         // byte-identical; the cost drops from O(pool) to O(1) per admit).
         // Only active nodes are offered — a retired (or
         // never-commissioned) node takes no work.
-        let mut views = self.active_views();
+        let mut views = Self::active_views(&self.nodes);
         for request in due {
             match self.dispatcher.dispatch(&request, &views) {
                 DispatchDecision::Assign(id)
@@ -2210,14 +2195,24 @@ mod tests {
         assert_eq!(store.lock().unwrap().publishes(), summary.total_sessions);
         // Every session's history survives as one archived row, on the
         // node where it finished.
-        let rows: Vec<&mamut_transcode::SessionSummary> = summary
-            .node_runs
-            .iter()
-            .flat_map(|run| &run.sessions)
-            .collect();
+        let runs: Vec<_> = sim.nodes().iter().map(FleetNode::summary).collect();
+        let rows: Vec<_> = runs.iter().flat_map(|run| &run.sessions).collect();
         assert_eq!(rows.len() as u64, summary.total_sessions);
         let frames: u64 = bursty_workload().arrivals().iter().map(|r| r.frames).sum();
         assert_eq!(rows.iter().map(|row| row.frames).sum::<u64>(), frames);
+        assert_eq!(summary.total_frames, frames);
+        // A drained or crashed node's row holds only what stayed: frames
+        // that left with its sessions count on their new node alone.
+        let row_frames: u64 = summary.nodes.iter().map(|n| n.frames).sum();
+        assert_eq!(row_frames, summary.total_frames, "{summary}");
+        // The cluster ∆ weighs each node's ∆ by its frames.
+        let weighted: f64 = summary
+            .nodes
+            .iter()
+            .map(|n| n.violation_percent * n.frames as f64)
+            .sum();
+        let expected = weighted / summary.total_frames as f64;
+        assert!((summary.cluster_violation_percent - expected).abs() < 1e-9);
     }
 
     #[test]
@@ -2381,13 +2376,60 @@ mod tests {
 
     #[test]
     fn nodes_idle_along_with_their_busy_peers() {
-        // One node serves everything; the other must still account idle
-        // time for the full duration.
-        let mut sim = fleet(2, 2, Box::new(RoundRobin::new()));
-        let summary = sim.run().unwrap();
-        let duration = summary.duration_s;
-        for run in &summary.node_runs {
-            assert!((run.duration_s - duration).abs() < 1e-9);
+        // Round robin spreads the workload over both nodes; a dispatcher
+        // that assigns everything to node 0 leaves node 1 serving nothing.
+        // Every node must still account time for the full duration.
+        struct FirstNodeOnly;
+        impl Dispatcher for FirstNodeOnly {
+            fn name(&self) -> &'static str {
+                "first-node-only"
+            }
+            fn dispatch(&mut self, _: &SessionRequest, _: &[NodeView]) -> DispatchDecision {
+                DispatchDecision::Assign(0)
+            }
         }
+        let mut summaries = Vec::new();
+        for mut sim in [
+            fleet(2, 2, Box::new(RoundRobin::new())),
+            fleet(2, 2, Box::new(FirstNodeOnly)),
+        ] {
+            let summary = sim.run().unwrap();
+            for node in sim.nodes() {
+                assert!((node.summary().duration_s - summary.duration_s).abs() < 1e-9);
+            }
+            summaries.push(summary);
+        }
+        // The node that served nothing reads the zero guards: no frames,
+        // ∆ 0.00, and the idle power it drew all along.
+        let summary = &summaries[1];
+        let idle = &summary.nodes[1];
+        assert_eq!((idle.sessions, idle.frames), (0, 0), "{summary}");
+        assert_eq!(idle.violation_percent, 0.0);
+        assert!(idle.mean_power_w > 0.0, "{summary}");
+        assert!(idle.energy_j > 0.0, "{summary}");
+    }
+
+    #[test]
+    fn a_rerun_reports_every_node_at_its_lifetime_totals() {
+        // The first run retires nodes; the second has no arrivals left,
+        // so it only idles the survivors for one epoch. Every row of the
+        // second summary, retired or not, reads its node's lifetime
+        // totals.
+        let mut sim = elastic_fleet(2);
+        let first = sim.run().unwrap();
+        assert!(first.nodes.iter().any(|n| n.retired), "{first}");
+        let second = sim.run().unwrap();
+        assert_eq!(second.nodes.len(), sim.node_count());
+        for (row, node) in second.nodes.iter().zip(sim.nodes()) {
+            let (frames, violations) = node.qos_totals();
+            let sensor = node.server().sensor();
+            assert_eq!(row.frames, frames, "node {}", node.id());
+            assert_eq!(row.violation_percent, delta_percent(violations, frames));
+            assert_eq!(row.energy_j, sensor.total_energy_j(), "node {}", node.id());
+            assert_eq!(row.mean_power_w, sensor.lifetime_average());
+        }
+        let expected_frames: u64 = bursty_workload().arrivals().iter().map(|r| r.frames).sum();
+        assert_eq!(second.total_frames, expected_frames, "{second}");
+        assert!(second.total_energy_j > first.total_energy_j, "{second}");
     }
 }

@@ -1,7 +1,6 @@
 //! Fleet-level run report: per-node rows plus cluster-wide aggregates.
 
 use mamut_metrics::{Align, Table, UtilizationHistogram};
-use mamut_transcode::RunSummary;
 
 /// One node's row in a [`FleetSummary`].
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -44,8 +43,14 @@ pub struct NodeReport {
 /// the start of each run and counts every event (rejection, migration,
 /// scale event, policy decision, fault, checkpoint, fault mark) straight
 /// into it as it happens. At the end of the run it fills in the derived
-/// fields: node rows, cluster ∆/power/energy, percentiles, availability
-/// and MTTR.
+/// fields: node rows and cluster ∆/power/energy/frames from each node's
+/// own totals, percentiles, availability and MTTR.
+///
+/// Per-session rows are not copied in here: drill down through
+/// [`FleetSim::nodes`](crate::FleetSim::nodes) and
+/// [`FleetNode::summary`](crate::FleetNode::summary), or
+/// [`ShardedFleetSim::shards`](crate::ShardedFleetSim::shards) for a
+/// sharded run.
 ///
 /// [`FleetSim`]: crate::FleetSim
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -154,13 +159,6 @@ pub struct FleetSummary {
     /// which also gates the summary's `telemetry:` line, keeping
     /// untraced renderings byte-identical to historical output).
     pub trace_events: u64,
-    /// Full per-node run summaries, in node-id order (not rendered; for
-    /// drill-down). Each holds one row per session that finished on the
-    /// node, in session-id order: the row the node archived when the
-    /// session finished (see [`FleetNode::summary`]).
-    ///
-    /// [`FleetNode::summary`]: crate::FleetNode::summary
-    pub node_runs: Vec<RunSummary>,
 }
 
 impl FleetSummary {

@@ -1,13 +1,14 @@
-//! Fleet-level aggregation: rolling per-node and cluster-wide QoS, power
-//! and utilization accounting for multi-server simulations.
+//! Fleet-level aggregation: what a multi-server simulation derives from
+//! its node-epoch samples.
 //!
 //! The fleet simulator (`mamut-fleet`) feeds plain numbers in here — this
 //! crate stays a leaf with no knowledge of servers or sessions, the same
 //! way [`QosTracker`](crate::QosTracker) only sees frame timings. Per
-//! node the aggregate keeps the ∆ numerator/denominator (violations over
-//! frames), energy totals, and a utilization series;
-//! cluster-wide it folds those into a frames-weighted ∆, the active-pool
-//! timeline, and a histogram of node-epoch utilization samples.
+//! node the aggregate keeps a utilization series and a tail ledger;
+//! cluster-wide it keeps the active-pool timeline, a histogram of
+//! node-epoch utilization samples and a tail ledger of its own. A node's
+//! frame, ∆, energy and power totals are not kept here: the node owns
+//! them, and the fleet's summary reads them from it.
 
 use crate::{RunningStats, TailLedger, CLUSTER_TAIL_CAPACITY, NODE_TAIL_CAPACITY};
 
@@ -89,41 +90,23 @@ impl UtilizationHistogram {
 }
 
 /// Rolling per-node aggregate, fed once per node epoch.
+///
+/// `frames`, `violations` and `duration_s` are the node's running totals
+/// as of its last sample: the baseline its next epoch's increase is taken
+/// against, not a report of the node.
 #[derive(Debug, Clone, Default)]
 pub struct NodeAggregate {
-    /// Frames completed on this node.
+    /// Frames the node had completed at its last sample.
     pub frames: u64,
-    /// Frames below the FPS target (∆ numerator).
+    /// Frames below the FPS target at the last sample.
     pub violations: u64,
-    /// Energy drawn by this node (J).
-    pub energy_j: f64,
-    /// Time this node has been simulated (s).
+    /// Simulated time at the last sample (s).
     pub duration_s: f64,
     /// Thread-demand utilization samples, one per epoch.
     pub utilization: RunningStats,
     /// Per-epoch QoS-slack / frame-latency tail ledger (bounded reservoir
     /// when built through [`FleetAggregate::new`]).
     pub tail: TailLedger,
-}
-
-impl NodeAggregate {
-    /// The node's ∆: percentage of frames below target (0.0 if no frames).
-    pub fn violation_percent(&self) -> f64 {
-        if self.frames == 0 {
-            0.0
-        } else {
-            100.0 * self.violations as f64 / self.frames as f64
-        }
-    }
-
-    /// Lifetime mean power (0.0 before any time elapses).
-    pub fn mean_power_w(&self) -> f64 {
-        if self.duration_s <= 0.0 {
-            0.0
-        } else {
-            self.energy_j / self.duration_s
-        }
-    }
 }
 
 /// Cluster-wide aggregate over all nodes' epoch samples.
@@ -189,36 +172,15 @@ impl FleetAggregate {
             .unwrap_or(0)
     }
 
-    /// Overwrites one node's running totals without recording an epoch
-    /// sample — used when a node is decommissioned mid-run, so frames
-    /// that migrated away with its drained sessions are not counted both
-    /// in its final row and on their destination nodes.
-    pub fn resample_node_totals(
-        &mut self,
-        node: usize,
-        frames: u64,
-        violations: u64,
-        energy_j: f64,
-        duration_s: f64,
-    ) {
-        let agg = &mut self.nodes[node];
-        agg.frames = frames;
-        agg.violations = violations;
-        agg.energy_j = energy_j;
-        agg.duration_s = duration_s;
-    }
-
     /// Folds one node epoch into the aggregate. `frames`/`violations`/
-    /// `energy_j`/`duration_s` are the node's *running totals* (the
-    /// sources all expose totals, not deltas); `utilization` is this
-    /// epoch's thread-demand fraction.
-    #[allow(clippy::too_many_arguments)]
+    /// `duration_s` are the node's *running totals* (the node exposes
+    /// totals, not deltas); they become the baseline of its next epoch.
+    /// `utilization` is this epoch's thread-demand fraction.
     pub fn record_node_epoch(
         &mut self,
         node: usize,
         frames: u64,
         violations: u64,
-        energy_j: f64,
         duration_s: f64,
         utilization: f64,
     ) {
@@ -232,7 +194,6 @@ impl FleetAggregate {
         let busy_delta = (duration_s - agg.duration_s).max(0.0);
         agg.frames = frames;
         agg.violations = violations;
-        agg.energy_j = energy_j;
         agg.duration_s = duration_s;
         agg.utilization.push(utilization);
         if frames_delta > 0 {
@@ -243,38 +204,6 @@ impl FleetAggregate {
         }
         self.utilization.record(utilization);
         self.node_epochs += 1;
-    }
-
-    /// Frames completed across the cluster.
-    pub fn total_frames(&self) -> u64 {
-        self.nodes.iter().map(|n| n.frames).sum()
-    }
-
-    /// Cluster-wide ∆, weighted by frames (a node that served more frames
-    /// counts proportionally — the fleet analogue of the paper's ∆).
-    pub fn cluster_violation_percent(&self) -> f64 {
-        let frames = self.total_frames();
-        if frames == 0 {
-            0.0
-        } else {
-            let violations: u64 = self.nodes.iter().map(|n| n.violations).sum();
-            100.0 * violations as f64 / frames as f64
-        }
-    }
-
-    /// Mean node power over the run (total energy / total node-time).
-    pub fn mean_power_w(&self) -> f64 {
-        let time: f64 = self.nodes.iter().map(|n| n.duration_s).sum();
-        if time <= 0.0 {
-            0.0
-        } else {
-            self.nodes.iter().map(|n| n.energy_j).sum::<f64>() / time
-        }
-    }
-
-    /// Total cluster energy (J).
-    pub fn total_energy_j(&self) -> f64 {
-        self.nodes.iter().map(|n| n.energy_j).sum()
     }
 }
 
@@ -327,40 +256,23 @@ mod tests {
     }
 
     #[test]
-    fn node_aggregate_percentages() {
-        let mut n = NodeAggregate::default();
-        assert_eq!(n.violation_percent(), 0.0);
-        assert_eq!(n.mean_power_w(), 0.0);
-        n.frames = 200;
-        n.violations = 30;
-        n.energy_j = 500.0;
-        n.duration_s = 10.0;
-        assert!((n.violation_percent() - 15.0).abs() < 1e-12);
-        assert!((n.mean_power_w() - 50.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn cluster_delta_is_frames_weighted() {
         let mut f = FleetAggregate::new(2);
         // Node 0: 900 frames, 0 violations; node 1: 100 frames, all bad.
-        f.record_node_epoch(0, 900, 0, 9_000.0, 100.0, 0.4);
-        f.record_node_epoch(1, 100, 100, 1_000.0, 100.0, 0.9);
-        assert!((f.cluster_violation_percent() - 10.0).abs() < 1e-12);
-        assert_eq!(f.total_frames(), 1_000);
-        assert!((f.mean_power_w() - 50.0).abs() < 1e-12);
+        f.record_node_epoch(0, 900, 0, 100.0, 0.4);
+        f.record_node_epoch(1, 100, 100, 100.0, 0.9);
         assert_eq!(f.utilization.total(), 2);
     }
 
     #[test]
     fn record_overwrites_totals_not_sums() {
         let mut f = FleetAggregate::new(1);
-        f.record_node_epoch(0, 10, 1, 100.0, 1.0, 0.5);
-        f.record_node_epoch(0, 25, 2, 260.0, 2.0, 0.6);
+        f.record_node_epoch(0, 10, 1, 1.0, 0.5);
+        f.record_node_epoch(0, 25, 2, 2.0, 0.6);
         assert_eq!(f.nodes[0].frames, 25);
         assert_eq!(f.nodes[0].violations, 2);
         assert_eq!(f.nodes[0].utilization.count(), 2);
         assert_eq!(f.node_epochs, 2);
-        assert!((f.total_energy_j() - 260.0).abs() < 1e-12);
     }
 
     #[test]
@@ -379,7 +291,7 @@ mod tests {
     #[test]
     fn ensure_nodes_grows_without_shrinking() {
         let mut f = FleetAggregate::new(2);
-        f.record_node_epoch(0, 10, 0, 50.0, 1.0, 0.5);
+        f.record_node_epoch(0, 10, 0, 1.0, 0.5);
         f.ensure_nodes(4);
         assert_eq!(f.nodes.len(), 4);
         assert_eq!(f.nodes[0].frames, 10, "existing rows survive growth");
@@ -388,22 +300,11 @@ mod tests {
     }
 
     #[test]
-    fn resample_overwrites_totals_without_an_epoch_sample() {
-        let mut f = FleetAggregate::new(1);
-        f.record_node_epoch(0, 100, 10, 500.0, 5.0, 0.8);
-        f.resample_node_totals(0, 40, 4, 500.0, 5.0);
-        assert_eq!(f.nodes[0].frames, 40);
-        assert_eq!(f.nodes[0].violations, 4);
-        assert_eq!(f.node_epochs, 1, "resample is not an epoch");
-        assert_eq!(f.nodes[0].utilization.count(), 1);
-    }
-
-    #[test]
     fn tail_ledgers_sample_epoch_deltas_only() {
         let mut f = FleetAggregate::new(1);
-        f.record_node_epoch(0, 10, 1, 100.0, 1.0, 0.5); // +10 frames, +1 late
-        f.record_node_epoch(0, 10, 1, 150.0, 2.0, 0.0); // idle epoch: no delta
-        f.record_node_epoch(0, 30, 6, 300.0, 3.0, 0.7); // +20 frames, +5 late
+        f.record_node_epoch(0, 10, 1, 1.0, 0.5); // +10 frames, +1 late
+        f.record_node_epoch(0, 10, 1, 2.0, 0.0); // idle epoch: no delta
+        f.record_node_epoch(0, 30, 6, 3.0, 0.7); // +20 frames, +5 late
         assert_eq!(f.nodes[0].tail.epochs_sampled(), 2);
         assert_eq!(f.tail.epochs_sampled(), 2);
         assert_eq!(

@@ -11,8 +11,8 @@
 //!   ([`Trace`], with CSV export);
 //! * **tables** — Markdown/plain renderings of Table I/II-style results
 //!   ([`Table`]);
-//! * **fleet aggregation** — per-node and cluster-wide ∆, power and
-//!   utilization accounting for multi-server runs ([`fleet`]);
+//! * **fleet aggregation** — per-node and cluster-wide utilization, pool
+//!   size and tail accounting from node-epoch samples ([`fleet`]);
 //! * **tail ledgers** — bounded-memory p50/p95/p99 QoS-slack and
 //!   frame-latency reservoirs for long fleet runs ([`TailLedger`]).
 //!

@@ -49,14 +49,13 @@ impl PercentileTracker {
     /// deterministic uniform reservoir seeded with `seed`. Percentiles
     /// become estimates once more than `capacity` samples have been
     /// offered; two trackers fed the same sequence with the same seed
-    /// hold byte-identical reservoirs.
+    /// hold byte-identical reservoirs. Nothing is allocated up front: the
+    /// buffer grows with its samples, up to `capacity`.
     pub fn bounded(capacity: usize, seed: u64) -> Self {
         PercentileTracker {
-            samples: Vec::with_capacity(capacity.min(4096)),
-            sorted: true,
             capacity: Some(capacity),
-            seen: 0,
             rng: seed,
+            ..PercentileTracker::new()
         }
     }
 
@@ -266,6 +265,11 @@ mod tests {
     #[test]
     fn bounded_tracker_caps_memory_and_counts_seen() {
         let mut p = PercentileTracker::bounded(16, 7);
+        assert_eq!(
+            p.samples.capacity(),
+            0,
+            "the reservoir grows with its samples"
+        );
         for i in 0..10_000 {
             p.push(f64::from(i));
         }
