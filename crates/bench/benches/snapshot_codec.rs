@@ -67,12 +67,11 @@ fn bench_store_merge(c: &mut Criterion) {
 
     // Steady-state publish: the store lives across the whole fleet run,
     // so the hot figure is the marginal cost of folding one more
-    // finished session into accumulated knowledge — not the one-off
-    // accumulator build (that happens once per class, at first merge).
+    // finished session into merged knowledge.
     c.bench_function("store_publish_visit_weighted", |bencher| {
         let mut store = KnowledgeStore::new(MergePolicy::VisitWeighted);
         store.publish(SessionClass::Hr, &a);
-        store.publish(SessionClass::Hr, &b_snap); // builds the accumulator
+        store.publish(SessionClass::Hr, &b_snap);
         bencher.iter(|| {
             store.publish(SessionClass::Hr, black_box(&b_snap));
             black_box(store.publishes())

@@ -31,6 +31,7 @@
 //! determinism is preserved for any worker count. A sharded fleet gives
 //! each shard its own store, since one advance serves every shard.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -104,106 +105,22 @@ pub enum PublishOutcome {
 }
 
 /// Merged knowledge for one session class.
+///
+/// The snapshot is the entry's whole state: a merge reads each cell's
+/// visit total off the snapshot's own transition records, so nothing
+/// derived from the tables is kept beside them.
 #[derive(Debug, Clone)]
 pub struct ClassKnowledge {
     /// The merged, knowledge-only snapshot new sessions are seeded from.
     pub snapshot: PolicySnapshot,
     /// Sessions that have contributed to this entry.
     pub contributions: u64,
-    /// Incremental visit-weighted merge state (per-cell visit totals and
-    /// transition counts), built lazily on the first merge. With it, a
-    /// publish costs O(incoming) work against the accumulated tables
-    /// instead of re-deriving both sides' visit matrices and rebuilding
-    /// the full transition map from scratch every time.
-    acc: Option<MergeState>,
-}
-
-/// Accumulated per-agent merge state mirroring `snapshot.agents`.
-#[derive(Debug, Clone)]
-struct MergeState {
-    agents: Vec<AgentMergeState>,
-}
-
-#[derive(Debug, Clone)]
-struct AgentMergeState {
-    /// Dense `Num(s, a)` totals across all contributions (saturating, as
-    /// the per-publish visit matrices themselves saturate).
-    visits: Vec<u32>,
-    /// Transition counts keyed `(state, action, next_state)` — the
-    /// canonical sorted order, so regenerating the snapshot's record
-    /// list is a linear walk, never a re-sort.
-    transitions: BTreeMap<(u32, u32, u32), u32>,
-}
-
-impl MergeState {
-    fn from_snapshot(snapshot: &PolicySnapshot) -> MergeState {
-        MergeState {
-            agents: snapshot
-                .agents
-                .iter()
-                .map(|a| AgentMergeState {
-                    visits: a.visit_matrix(),
-                    transitions: a
-                        .transitions
-                        .iter()
-                        .map(|t| ((t.state, t.action, t.next_state), t.count))
-                        .collect(),
-                })
-                .collect(),
-        }
-    }
-}
-
-impl AgentMergeState {
-    /// Folds `new` into `agent` in place: per-cell visit-weighted Q
-    /// average (plain average where neither side has visits), saturating
-    /// action/transition count accumulation, canonical record
-    /// regeneration from the maintained map.
-    fn merge_agent(&mut self, agent: &mut AgentSnapshot, new: &AgentSnapshot) {
-        let visits_new = new.visit_matrix();
-        for (i, (q, &qn)) in agent.q.iter_mut().zip(&new.q).enumerate() {
-            let (vo, vn) = (f64::from(self.visits[i]), f64::from(visits_new[i]));
-            *q = if vo + vn > 0.0 {
-                (vo * *q + vn * qn) / (vo + vn)
-            } else {
-                0.5 * (*q + qn)
-            };
-            self.visits[i] = self.visits[i].saturating_add(visits_new[i]);
-        }
-        for (a, &b) in agent.action_counts.iter_mut().zip(&new.action_counts) {
-            *a = a.saturating_add(b);
-        }
-        for t in &new.transitions {
-            let slot = self
-                .transitions
-                .entry((t.state, t.action, t.next_state))
-                .or_insert(0);
-            *slot = slot.saturating_add(t.count);
-        }
-        agent.transitions.clear();
-        agent.transitions.extend(self.transitions.iter().map(
-            |(&(state, action, next_state), &count)| TransitionRecord {
-                state,
-                action,
-                next_state,
-                count,
-            },
-        ));
-    }
 }
 
 impl ClassKnowledge {
-    fn inserted(snapshot: PolicySnapshot) -> ClassKnowledge {
-        ClassKnowledge {
-            snapshot,
-            contributions: 1,
-            acc: None,
-        }
-    }
-
-    /// Visit-weighted merge of `incoming` into the accumulated snapshot,
-    /// or `false` when the shapes are structurally incompatible (the
-    /// caller replaces instead).
+    /// Visit-weighted merge of `incoming` into the merged snapshot, or
+    /// `false` when the shapes are structurally incompatible (the caller
+    /// replaces instead).
     fn merge_in(&mut self, incoming: &PolicySnapshot) -> bool {
         if self.snapshot.controller != incoming.controller
             || self.snapshot.agents.len() != incoming.agents.len()
@@ -221,23 +138,77 @@ impl ClassKnowledge {
         if !compatible {
             return false;
         }
-        let acc = self
-            .acc
-            .get_or_insert_with(|| MergeState::from_snapshot(&self.snapshot));
-        for (agent, (st, new)) in self
-            .snapshot
-            .agents
-            .iter_mut()
-            .zip(acc.agents.iter_mut().zip(&incoming.agents))
-        {
-            st.merge_agent(agent, new);
+        for (agent, new) in self.snapshot.agents.iter_mut().zip(&incoming.agents) {
+            fold_agent(agent, new);
         }
         // The operating point follows the newest contributor: knobs are a
         // live setting, not an average-able statistic.
         self.snapshot.knobs = incoming.knobs;
-        self.snapshot.exploration_decisions += incoming.exploration_decisions;
-        self.snapshot.exploitation_decisions += incoming.exploitation_decisions;
+        // Decoded counters can hold any value, so sums saturate like the
+        // tables' counts.
+        let merged = &mut self.snapshot;
+        let explored = incoming.exploration_decisions;
+        let exploited = incoming.exploitation_decisions;
+        merged.exploration_decisions = merged.exploration_decisions.saturating_add(explored);
+        merged.exploitation_decisions = merged.exploitation_decisions.saturating_add(exploited);
         true
+    }
+}
+
+/// Folds `new` into `agent` in one pass over both sides' transition
+/// records, cell by cell in their canonical `(state, action,
+/// next_state)` order. A cell's visits on each side are the saturating
+/// sum of that side's records for it, and its Q-value is their
+/// visit-weighted average (the plain average where neither side has
+/// visits). The two sides' records merge by successor, and transition
+/// and action counts add with saturation.
+fn fold_agent(agent: &mut AgentSnapshot, new: &AgentSnapshot) {
+    let n_actions = agent.n_actions as usize;
+    // A record is due once the walk reaches its cell. `<=`, not `==`: a
+    // record out of canonical order joins the cell being walked instead
+    // of stalling its side.
+    let due = |t: &TransitionRecord, cell: usize| {
+        t.state as usize * n_actions + t.action as usize <= cell
+    };
+    let records = std::mem::take(&mut agent.transitions);
+    let mut merged = Vec::with_capacity(records.len() + new.transitions.len());
+    let mut old = records.iter().peekable();
+    let mut inc = new.transitions.iter().peekable();
+    for (cell, (q, &qn)) in agent.q.iter_mut().zip(&new.q).enumerate() {
+        let (mut vo, mut vn) = (0u32, 0u32);
+        loop {
+            // The lower successor goes first; equal ones fold into one.
+            let order = match (
+                old.peek().filter(|t| due(t, cell)),
+                inc.peek().filter(|t| due(t, cell)),
+            ) {
+                (None, None) => break,
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (Some(o), Some(n)) => o.next_state.cmp(&n.next_state),
+            };
+            let o = if order.is_le() { old.next() } else { None };
+            let n = if order.is_ge() { inc.next() } else { None };
+            let (co, cn) = (o.map_or(0, |t| t.count), n.map_or(0, |t| t.count));
+            vo = vo.saturating_add(co);
+            vn = vn.saturating_add(cn);
+            if let Some(&head) = o.or(n) {
+                merged.push(TransitionRecord {
+                    count: co.saturating_add(cn),
+                    ..head
+                });
+            }
+        }
+        let (vo, vn) = (f64::from(vo), f64::from(vn));
+        *q = if vo + vn > 0.0 {
+            (vo * *q + vn * qn) / (vo + vn)
+        } else {
+            0.5 * (*q + qn)
+        };
+    }
+    agent.transitions = merged;
+    for (a, &b) in agent.action_counts.iter_mut().zip(&new.action_counts) {
+        *a = a.saturating_add(b);
     }
 }
 
@@ -292,37 +263,35 @@ impl KnowledgeStore {
     /// it enters the store.
     pub fn publish(&mut self, class: SessionClass, snapshot: &PolicySnapshot) -> PublishOutcome {
         self.publishes += 1;
-        let key = (class, snapshot.controller.clone());
-        match self.entries.get_mut(&key) {
-            None => {
-                self.entries.insert(
-                    key,
-                    ClassKnowledge::inserted(snapshot.clone().into_knowledge()),
-                );
-                PublishOutcome::Inserted
-            }
-            Some(existing) => {
-                existing.contributions += 1;
-                match self.policy {
-                    MergePolicy::Replace => {
-                        existing.snapshot = snapshot.clone().into_knowledge();
-                        existing.acc = None;
-                        PublishOutcome::Replaced
-                    }
-                    MergePolicy::VisitWeighted => {
-                        // The merge reads tables only, so the incoming
-                        // snapshot is never cloned on this path.
-                        if existing.merge_in(snapshot) {
-                            PublishOutcome::Merged
-                        } else {
-                            existing.snapshot = snapshot.clone().into_knowledge();
-                            existing.acc = None;
-                            PublishOutcome::Replaced
-                        }
-                    }
-                }
-            }
+        self.fold(&(class, snapshot.controller.clone()), snapshot, 1)
+    }
+
+    /// Folds knowledge from `contributions` sessions into the entry under
+    /// `key`: inserted when the key is new, merged by visits under
+    /// [`MergePolicy::VisitWeighted`] when the shapes agree, replaced
+    /// otherwise. A merge reads the incoming tables only, so the incoming
+    /// snapshot is cloned only when it lands as is.
+    fn fold(
+        &mut self,
+        key: &(SessionClass, String),
+        incoming: &PolicySnapshot,
+        contributions: u64,
+    ) -> PublishOutcome {
+        let Some(existing) = self.entries.get_mut(key) else {
+            let snapshot = incoming.clone().into_knowledge();
+            let entry = ClassKnowledge {
+                snapshot,
+                contributions,
+            };
+            self.entries.insert(key.clone(), entry);
+            return PublishOutcome::Inserted;
+        };
+        existing.contributions = existing.contributions.saturating_add(contributions);
+        if self.policy == MergePolicy::VisitWeighted && existing.merge_in(incoming) {
+            return PublishOutcome::Merged;
         }
+        existing.snapshot = incoming.clone().into_knowledge();
+        PublishOutcome::Replaced
     }
 
     /// The merged knowledge a `controller`-tagged session of `class`
@@ -366,42 +335,19 @@ impl KnowledgeStore {
     }
 
     /// Folds every entry of `other` into this store under this store's
-    /// merge policy — the inter-shard sync primitive. Knowledge-wise
-    /// this is exactly what publishing other's merged entries here would
-    /// do (the visit-weighted merge is associative: weighting by
-    /// accumulated visit totals makes merging two merged entries equal
-    /// the flat fold over all contributors), and contribution counts
-    /// accumulate. The `publishes`/seed counters are **not** touched:
-    /// absorbing moves knowledge between stores, it is not a session
-    /// finishing — so per-shard invariants like "publishes == sessions
-    /// served" survive any number of syncs.
+    /// merge policy — the inter-shard sync primitive. Each entry goes
+    /// through the same fold a publish does, so knowledge-wise this is
+    /// exactly what publishing other's merged entries here would do (the
+    /// visit-weighted merge is associative: weighting by accumulated
+    /// visit totals makes merging two merged entries equal the flat fold
+    /// over all contributors), and contribution counts accumulate. The
+    /// `publishes`/seed counters are **not** touched: absorbing moves
+    /// knowledge between stores, it is not a session finishing — so
+    /// per-shard invariants like "publishes == sessions served" survive
+    /// any number of syncs.
     pub fn absorb(&mut self, other: &KnowledgeStore) {
         for (key, incoming) in &other.entries {
-            match self.entries.get_mut(key) {
-                None => {
-                    self.entries.insert(
-                        key.clone(),
-                        ClassKnowledge {
-                            snapshot: incoming.snapshot.clone(),
-                            contributions: incoming.contributions,
-                            // Derived state: rebuilt lazily (and exactly)
-                            // on the first merge, same as after a restore.
-                            acc: None,
-                        },
-                    );
-                }
-                Some(existing) => {
-                    existing.contributions += incoming.contributions;
-                    let replace = match self.policy {
-                        MergePolicy::Replace => true,
-                        MergePolicy::VisitWeighted => !existing.merge_in(&incoming.snapshot),
-                    };
-                    if replace {
-                        existing.snapshot = incoming.snapshot.clone();
-                        existing.acc = None;
-                    }
-                }
-            }
+            self.fold(key, &incoming.snapshot, incoming.contributions);
         }
     }
 
@@ -411,20 +357,7 @@ impl KnowledgeStore {
     /// merged tables. Local counters (`publishes`, seeds) are kept;
     /// entries and their contribution counts become the global ones.
     pub fn adopt_knowledge(&mut self, global: &KnowledgeStore) {
-        self.entries = global
-            .entries
-            .iter()
-            .map(|(key, entry)| {
-                (
-                    key.clone(),
-                    ClassKnowledge {
-                        snapshot: entry.snapshot.clone(),
-                        contributions: entry.contributions,
-                        acc: None,
-                    },
-                )
-            })
-            .collect();
+        self.entries = global.entries.clone();
     }
 
     /// Serializes the whole store — merge policy, every class's merged
@@ -434,10 +367,9 @@ impl KnowledgeStore {
     ///
     /// The encoding is canonical (entries in key order, each policy in
     /// its canonical snapshot form), so encode → decode → encode is
-    /// byte-identical. The incremental merge accumulator is *not*
-    /// encoded: it is derived state, rebuilt lazily on the first merge
-    /// after a decode, and the rebuild is exact — merges after a decode
-    /// produce bitwise the same tables as merges without one.
+    /// byte-identical. An entry is its merged snapshot and nothing else,
+    /// so merges after a decode produce bitwise the same tables as merges
+    /// without one.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = STORE_FORMAT.writer();
         w.put_u8(match self.policy {
@@ -489,17 +421,11 @@ impl KnowledgeStore {
                 let controller = r.get_str()?;
                 let contributions = r.get_u64()?;
                 let snapshot = PolicySnapshot::decode(&r.get_bytes()?)?;
-                if entries
-                    .insert(
-                        (class, controller),
-                        ClassKnowledge {
-                            snapshot,
-                            contributions,
-                            acc: None,
-                        },
-                    )
-                    .is_some()
-                {
+                let entry = ClassKnowledge {
+                    snapshot,
+                    contributions,
+                };
+                if entries.insert((class, controller), entry).is_some() {
                     return Err(SnapshotError::Corrupt("duplicate knowledge entry"));
                 }
             }
@@ -517,10 +443,10 @@ impl KnowledgeStore {
 /// Per-cell visit-weighted merge of two knowledge snapshots, or `None`
 /// when they are structurally incompatible.
 ///
-/// The naive pairwise reference the store used before the incremental
-/// accumulator: it re-derives both sides' visit matrices and rebuilds
-/// the transition map per call. Kept under test as the oracle the
-/// incremental [`ClassKnowledge::merge_in`] is proven equivalent to.
+/// The naive pairwise reference: it re-derives both sides' visit
+/// matrices and rebuilds the transition map per call. Kept under test
+/// as the oracle the store's one-pass [`ClassKnowledge::merge_in`] is
+/// checked against.
 #[cfg(test)]
 fn visit_weighted_merge(old: &PolicySnapshot, new: &PolicySnapshot) -> Option<PolicySnapshot> {
     if old.controller != new.controller || old.agents.len() != new.agents.len() {
@@ -745,8 +671,8 @@ mod tests {
 
     #[test]
     fn incremental_store_merge_equals_the_pairwise_fold() {
-        // The store's in-place accumulator must produce exactly what a
-        // left fold of the naive pairwise merge produces — same Q-values
+        // The store's in-place merge must produce exactly what a left
+        // fold of the naive pairwise merge produces — same Q-values
         // (bitwise), same counts, same canonical transition order —
         // across a chain of differently trained contributors.
         let teachers: Vec<_> = (0..4).map(|i| trained(10 + i, 4_000 + 2_000 * i)).collect();
@@ -778,8 +704,109 @@ mod tests {
         assert_eq!(merged.knobs, folded.knobs);
     }
 
+    /// A random snapshot of two sparse agents (5 states × 3 actions):
+    /// about 30 % of `(s, a, s')` visited, a random Q on every cell.
+    fn sparse_snapshot(rng: &mut rand::rngs::StdRng) -> PolicySnapshot {
+        use rand::Rng;
+        let (n_states, n_actions) = (5u32, 3u32);
+        let knobs = KnobSettings::new(rng.gen_range(22..40), 4, 2.6);
+        let mut snapshot = PolicySnapshot::tableless("sparse", knobs);
+        snapshot.exploration_decisions = rng.gen_range(0..100);
+        snapshot.exploitation_decisions = rng.gen_range(0..100);
+        for kind in [mamut_core::AgentKind::Qp, mamut_core::AgentKind::Dvfs] {
+            let mut transitions = Vec::new();
+            for state in 0..n_states {
+                for action in 0..n_actions {
+                    for next_state in 0..n_states {
+                        if rng.gen_bool(0.3) {
+                            transitions.push(TransitionRecord {
+                                state,
+                                action,
+                                next_state,
+                                count: rng.gen_range(1..20),
+                            });
+                        }
+                    }
+                }
+            }
+            snapshot.agents.push(AgentSnapshot {
+                kind,
+                n_states,
+                n_actions,
+                q: (0..n_states * n_actions)
+                    .map(|_| rng.gen_range(-10.0..10.0))
+                    .collect(),
+                action_counts: (0..n_actions).map(|_| rng.gen_range(0..50)).collect(),
+                transitions,
+            });
+        }
+        snapshot
+    }
+
     #[test]
-    fn replace_after_merging_resets_the_accumulator() {
+    fn store_merges_equal_the_pairwise_reference_on_sparse_tables() {
+        // Sparse tables have cells visited on one side only and cells
+        // visited on neither, so every branch of the one-pass merge runs.
+        use rand::SeedableRng;
+        let pair = |a: &PolicySnapshot, b: &PolicySnapshot| {
+            visit_weighted_merge(a, b).expect("same shape")
+        };
+        let same = |store: &KnowledgeStore, reference: &PolicySnapshot, what: String| {
+            let stored = store.knowledge(SessionClass::Hr, "sparse").unwrap();
+            // The bytes pin Q bits, counts and records; encoding sorts
+            // records, so their order is compared as well.
+            assert_eq!(stored.snapshot.encode(), reference.encode(), "{what}");
+            for (s, r) in stored.snapshot.agents.iter().zip(&reference.agents) {
+                assert_eq!(s.transitions, r.transitions, "{what}");
+            }
+        };
+        for seed in 0..200 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let snaps: Vec<_> = (0..4).map(|_| sparse_snapshot(&mut rng)).collect();
+            let store_of = |snaps: &[PolicySnapshot]| {
+                let mut store = KnowledgeStore::new(MergePolicy::VisitWeighted);
+                for s in snaps {
+                    store.publish(SessionClass::Hr, s);
+                }
+                store
+            };
+            // Four publishes into one store fold left.
+            let flat = store_of(&snaps);
+            let folded = snaps[1..]
+                .iter()
+                .fold(snaps[0].clone(), |acc, s| pair(&acc, s));
+            same(&flat, &folded, format!("publishes, seed {seed}"));
+            // Two stores of two publishes each, then a sync absorb.
+            let mut east = store_of(&snaps[..2]);
+            east.absorb(&store_of(&snaps[2..]));
+            let reference = pair(&pair(&snaps[0], &snaps[1]), &pair(&snaps[2], &snaps[3]));
+            same(&east, &reference, format!("absorb, seed {seed}"));
+        }
+    }
+
+    #[test]
+    fn hostile_counts_saturate_in_merges() {
+        // A decoded store can carry any count; folding it in must not
+        // overflow (a panic in debug builds, a wrap in release ones).
+        use rand::SeedableRng;
+        let mut snap = sparse_snapshot(&mut rand::rngs::StdRng::seed_from_u64(1));
+        snap.exploration_decisions = u64::MAX;
+        let mut hostile = KnowledgeStore::new(MergePolicy::VisitWeighted);
+        hostile.publish(SessionClass::Hr, &snap);
+        for entry in hostile.entries.values_mut() {
+            entry.contributions = u64::MAX;
+        }
+        let hostile = KnowledgeStore::decode(&hostile.encode()).unwrap();
+        let mut store = KnowledgeStore::new(MergePolicy::VisitWeighted);
+        store.publish(SessionClass::Hr, &snap);
+        store.absorb(&hostile);
+        let k = store.knowledge(SessionClass::Hr, "sparse").unwrap();
+        assert_eq!(k.contributions, u64::MAX);
+        assert_eq!(k.snapshot.exploration_decisions, u64::MAX);
+    }
+
+    #[test]
+    fn replace_after_merging_discards_the_old_visits() {
         // A shape-incompatible publish replaces the entry; merges after
         // that must accumulate from the replacement, not from stale
         // visit totals of the displaced knowledge.
@@ -905,7 +932,7 @@ mod tests {
         let source = global.knowledge(SessionClass::Hr, "mamut").unwrap();
         assert_eq!(adopted.contributions, source.contributions);
         assert_eq!(adopted.snapshot.encode(), source.snapshot.encode());
-        // The adopted entry merges cleanly afterwards (acc rebuilds).
+        // The adopted entry merges cleanly afterwards.
         assert_eq!(
             shard.publish(SessionClass::Hr, &Controller::snapshot(&trained(4, 4_000))),
             PublishOutcome::Merged
@@ -947,9 +974,8 @@ mod tests {
 
     #[test]
     fn merges_after_a_restore_match_merges_without_one() {
-        // The accumulator is derived state: a store that restarts
-        // between publishes must end bitwise identical to one that
-        // never did.
+        // An entry is its snapshot alone: a store that restarts between
+        // publishes must end bitwise identical to one that never did.
         let snaps: Vec<_> = (0..3)
             .map(|i| Controller::snapshot(&trained(20 + i, 5_000)))
             .collect();

@@ -331,17 +331,6 @@ impl FleetNode {
         }
     }
 
-    /// Registers the session the server just took: counted in at its
-    /// knobs and QoS (see [`FleetNode::track`]).
-    fn track_resident(&mut self, sid: usize, request: SessionRequest, shape: StreamShape) {
-        let session = self
-            .server
-            .session(sid)
-            .expect("the server just took this session");
-        let (knobs, mark) = (session.knobs(), qos_of(session));
-        self.track(sid, request, shape, knobs, mark);
-    }
-
     /// Appends a session to the live list and counts it in. Its mark is
     /// its current QoS, so it adds nothing to this epoch's QoS until it
     /// has been observed for a full epoch here.
@@ -526,8 +515,9 @@ impl FleetNode {
             request,
         } = migrated;
         self.build_queued();
+        let (knobs, mark) = (session.knobs(), qos_of(&session));
         let sid = self.server.attach_session(session);
-        self.track_resident(sid, request, shape);
+        self.track(sid, request, shape, knobs, mark);
         self.sessions_migrated_in += 1;
         sid
     }
@@ -567,17 +557,23 @@ impl FleetNode {
             TranscodeSession::restore_checkpoint(request.session_config(), controller, bytes).ok()
         });
         let from_checkpoint = restored.is_some();
-        let sid = match restored {
-            Some(session) => self.server.attach_session(session),
+        let (sid, knobs, mark) = match restored {
+            Some(session) => {
+                let (knobs, mark) = (session.knobs(), qos_of(&session));
+                (self.server.attach_session(session), knobs, mark)
+            }
             // No entry, or a corrupt one: a cold restart re-does the
-            // session in full — never dropped.
+            // session in full — never dropped. It starts where `admit`
+            // counts a session in.
             None => {
                 let controller = (self.factory)(request);
-                self.server
-                    .add_session(request.session_config(), controller)
+                let config = request.session_config();
+                let sid = self.server.add_session(config, controller);
+                (sid, INITIAL_KNOBS, (0, 0))
             }
         };
-        self.track_resident(sid, request.clone(), StreamShape::for_spec(&request.spec()));
+        let shape = StreamShape::for_spec(&request.spec());
+        self.track(sid, request.clone(), shape, knobs, mark);
         from_checkpoint
     }
 

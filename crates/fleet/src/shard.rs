@@ -250,8 +250,20 @@ impl ShardedFleetSim {
     /// fault, autoscale or dispatch step surfaces before any node of that
     /// epoch advances, and a node failure is the one with the lowest
     /// `(shard, node)` address. [`FleetError::EpochBudgetExhausted`] when
-    /// a shard's workload cannot drain within its epoch budget.
+    /// a shard's workload cannot drain within its epoch budget. On any
+    /// error, every traced shard keeps its flight-recorder dump (see
+    /// [`FleetSim::flight_dump`]).
     pub fn run(&mut self) -> Result<ShardedFleetSummary, FleetError> {
+        let result = self.run_inner();
+        if result.is_err() {
+            for (_, sim) in &mut self.shards {
+                sim.capture_flight_dump();
+            }
+        }
+        result
+    }
+
+    fn run_inner(&mut self) -> Result<ShardedFleetSummary, FleetError> {
         self.report = ShardedFleetSummary::default();
         if self.shards.is_empty() {
             return Err(FleetError::NoNodes);

@@ -267,10 +267,21 @@ impl FleetSim {
     }
 
     /// The encoded (`MAMUTTL`) trace the flight recorder dumped when the
-    /// last [`FleetSim::run`] aborted with a typed error; `None` after a
-    /// clean run or with telemetry off.
+    /// last run aborted with a typed error: this fleet's own
+    /// [`FleetSim::run`], or the
+    /// [`ShardedFleetSim::run`](crate::ShardedFleetSim::run) it is a
+    /// shard of. `None` after a clean run or with telemetry off.
     pub fn flight_dump(&self) -> Option<&[u8]> {
         self.flight_dump.as_deref()
+    }
+
+    /// Keeps the retained event window as an encoded trace after a typed
+    /// error aborted the run — the flight recorder's whole point: it
+    /// survives the unwind. Does nothing with telemetry off.
+    pub(crate) fn capture_flight_dump(&mut self) {
+        if self.telemetry.enabled() {
+            self.flight_dump = Some(self.trace().encode());
+        }
     }
 
     /// Simulated time of an epoch boundary in integer microseconds —
@@ -413,11 +424,8 @@ impl FleetSim {
     /// (e.g. a gating policy queues a session no node can ever fit).
     pub fn run(&mut self) -> Result<FleetSummary, FleetError> {
         let result = self.run_inner();
-        if result.is_err() && self.telemetry.enabled() {
-            // The flight recorder's whole point: when a typed error
-            // aborts the run, the retained event window survives the
-            // unwind as an encoded trace.
-            self.flight_dump = Some(self.trace().encode());
+        if result.is_err() {
+            self.capture_flight_dump();
         }
         result
     }
@@ -457,6 +465,12 @@ impl FleetSim {
             )));
         }
         self.aggregate = FleetAggregate::new(self.nodes.len());
+        // A node's first sample of this run is taken against the totals
+        // it carries in, so a rerun's epochs count this run's work only.
+        for (agg, node) in self.aggregate.nodes.iter_mut().zip(&self.nodes) {
+            (agg.frames, agg.violations) = node.qos_totals();
+            agg.duration_s = node.server().sensor().total_time_s();
+        }
         self.report = FleetSummary::default();
         self.recovery_epochs = 0;
         self.seeds_at_start = self.seeds_served();
@@ -2414,7 +2428,8 @@ mod tests {
         // The first run retires nodes; the second has no arrivals left,
         // so it only idles the survivors for one epoch. Every row of the
         // second summary, retired or not, reads its node's lifetime
-        // totals.
+        // totals, and its tails hold this run's epochs alone: none
+        // delivered a frame.
         let mut sim = elastic_fleet(2);
         let first = sim.run().unwrap();
         assert!(first.nodes.iter().any(|n| n.retired), "{first}");
@@ -2427,7 +2442,10 @@ mod tests {
             assert_eq!(row.violation_percent, delta_percent(violations, frames));
             assert_eq!(row.energy_j, sensor.total_energy_j(), "node {}", node.id());
             assert_eq!(row.mean_power_w, sensor.lifetime_average());
+            assert_eq!(row.qos_slack_p95, None, "node {}", node.id());
+            assert_eq!(row.frame_latency_p99_ms, None, "node {}", node.id());
         }
+        assert_eq!(second.qos_slack_p50, None, "{second}");
         let expected_frames: u64 = bursty_workload().arrivals().iter().map(|r| r.frames).sum();
         assert_eq!(second.total_frames, expected_frames, "{second}");
         assert!(second.total_energy_j > first.total_energy_j, "{second}");

@@ -184,16 +184,23 @@ fn shard_with_panicking_node(workers: usize, panicking: usize, first_id: u64) ->
 #[test]
 fn the_lowest_shard_then_node_failure_wins_the_advance() {
     // Shard 0's node 1 and shard 1's node 0 fail in the same advance. A
-    // node-id-only rule would report node 0.
+    // node-id-only rule would report node 0. Every shard's flight
+    // recorder survives the failure.
     for workers in worker_counts(&[1, 2, 8]) {
         let mut sharded = ShardedFleetSim::new(ShardConfig::default());
         sharded.add_shard("east", shard_with_panicking_node(workers, 1, 0));
         sharded.add_shard("west", shard_with_panicking_node(workers, 0, 100));
+        sharded.set_telemetry(TelemetryMode::FlightRecorder { epochs: 4 });
         assert_eq!(
             sharded.run().unwrap_err(),
             FleetError::WorkerPanicked { node: 1 },
             "{workers} workers"
         );
+        for (name, sim) in sharded.shards() {
+            let dump = sim.flight_dump().expect("a traced shard keeps its dump");
+            let trace = FleetTrace::decode(dump).expect("the dump decodes");
+            assert!(!trace.is_empty(), "{name}, {workers} workers");
+        }
     }
 }
 
