@@ -5,7 +5,7 @@ use mamut_core::reward::{total_reward, RewardWeights};
 use mamut_core::snapshot::{PolicySnapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use mamut_core::{
     Agent, AgentKind, Constraints, Controller, CoreError, KnobSettings, LearningRateParams,
-    Observation, Phase, State, STATE_COUNT,
+    Observation, ObservationAccumulator, Phase, State, STATE_COUNT,
 };
 
 /// Configuration of the mono-agent Q-learning baseline.
@@ -136,8 +136,7 @@ pub struct MonoAgentController {
 struct Pending {
     state: usize,
     action: usize,
-    sum: Observation,
-    count: u64,
+    acc: ObservationAccumulator,
 }
 
 impl std::fmt::Debug for MonoAgentController {
@@ -215,17 +214,7 @@ impl MonoAgentController {
         let Some(p) = self.pending.take() else {
             return State::from_observation(fallback, c).index();
         };
-        let mean = if p.count == 0 {
-            *fallback
-        } else {
-            let n = p.count as f64;
-            Observation {
-                fps: p.sum.fps / n,
-                psnr_db: p.sum.psnr_db / n,
-                bitrate_mbps: p.sum.bitrate_mbps / n,
-                power_w: p.sum.power_w / n,
-            }
-        };
+        let mean = p.acc.mean().unwrap_or(*fallback);
         let next_state = State::from_observation(&mean, c).index();
         let reward = total_reward(&mean, c, &self.config.reward_weights);
         self.agent.observe(p.state, p.action, reward, next_state, 0);
@@ -278,24 +267,14 @@ impl Controller for MonoAgentController {
         self.pending = Some(Pending {
             state,
             action,
-            sum: Observation {
-                fps: 0.0,
-                psnr_db: 0.0,
-                bitrate_mbps: 0.0,
-                power_w: 0.0,
-            },
-            count: 0,
+            acc: ObservationAccumulator::new(),
         });
         Some(self.knobs)
     }
 
     fn end_frame(&mut self, _frame: u64, obs: &Observation, _constraints: &Constraints) {
         if let Some(p) = &mut self.pending {
-            p.sum.fps += obs.fps;
-            p.sum.psnr_db += obs.psnr_db;
-            p.sum.bitrate_mbps += obs.bitrate_mbps;
-            p.sum.power_w += obs.power_w;
-            p.count += 1;
+            p.acc.push(obs);
         }
     }
 
@@ -310,11 +289,7 @@ impl Controller for MonoAgentController {
                 w.put_bool(true);
                 w.put_u32(p.state as u32);
                 w.put_u32(p.action as u32);
-                w.put_u64(p.count);
-                w.put_f64(p.sum.fps);
-                w.put_f64(p.sum.psnr_db);
-                w.put_f64(p.sum.bitrate_mbps);
-                w.put_f64(p.sum.power_w);
+                p.acc.write_to(&mut w);
             }
         }
         PolicySnapshot {
@@ -356,13 +331,7 @@ impl Controller for MonoAgentController {
                 Some(Pending {
                     state,
                     action,
-                    count: r.get_u64()?,
-                    sum: Observation {
-                        fps: r.get_f64()?,
-                        psnr_db: r.get_f64()?,
-                        bitrate_mbps: r.get_f64()?,
-                        power_w: r.get_f64()?,
-                    },
+                    acc: ObservationAccumulator::read_from(&mut r)?,
                 })
             } else {
                 None

@@ -7,7 +7,11 @@
 //! operation below must land well under that.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use mamut_core::{Constraints, Controller, MamutConfig, MamutController, Observation, State};
+use mamut_core::exploitation::choose_action;
+use mamut_core::{
+    AgentKind, Constraints, Controller, MamutConfig, MamutController, Observation, State,
+    STATE_COUNT,
+};
 use mamut_encoder::{HevcEncoder, Preset};
 use mamut_transcode::{homogeneous_sessions, MixSpec, ServerSim};
 use mamut_video::{FrameInfo, Resolution};
@@ -52,6 +56,35 @@ fn bench_controller(c: &mut Criterion) {
 
     c.bench_function("state_from_observation", |b| {
         b.iter(|| State::from_observation(black_box(&obs), black_box(&constraints)));
+    });
+
+    // Algorithm 1 for every state, AGqp acting with the other two agents
+    // after it, on an HR controller trained by serving a 30,000-frame
+    // stream: each choice walks the transition model's successors. The
+    // callback pair above mostly lands on frames without a cooperative
+    // choice, so it cannot time this read path.
+    c.bench_function("choose_action_every_state", |b| {
+        let mut server = ServerSim::with_default_platform();
+        let session = homogeneous_sessions(MixSpec::new(1, 0), 30_000, 3).remove(0);
+        let config = MamutConfig::paper_hr().with_seed(3);
+        server.add_session(
+            session,
+            Box::new(MamutController::new(config).expect("valid")),
+        );
+        server
+            .run_to_completion(100_000_000)
+            .expect("training completes");
+        let controllers = server.into_controllers();
+        let trained = controllers[0]
+            .as_any()
+            .downcast_ref::<MamutController>()
+            .expect("MAMUT");
+        let agents: Vec<_> = AgentKind::ALL.map(|k| trained.agent(k).clone()).into();
+        b.iter(|| {
+            (0..STATE_COUNT)
+                .map(|s| choose_action(black_box(&agents), 0, &[1, 2], s))
+                .sum::<usize>()
+        });
     });
 }
 

@@ -1,4 +1,4 @@
-use crate::snapshot::{AgentSnapshot, SnapshotError, TransitionRecord};
+use crate::snapshot::{AgentSnapshot, SnapshotError};
 use crate::{AgentKind, LearningRateParams, Phase, QTable, TransitionModel};
 
 /// One Q-learning agent: a Q-table, a transition model, visit counters and
@@ -184,28 +184,22 @@ impl Agent {
             n_actions: self.q.n_actions() as u32,
             q: self.q.values().to_vec(),
             action_counts: self.action_counts.clone(),
-            transitions: self
-                .transitions
-                .records()
-                .into_iter()
-                .map(|(s, a, next, count)| TransitionRecord {
-                    state: s as u32,
-                    action: a as u32,
-                    next_state: next as u32,
-                    count,
-                })
-                .collect(),
+            transitions: self.transitions.records().to_vec(),
         }
     }
 
     /// Overwrites the agent's learned state from a snapshot of the same
-    /// kind and shape. Learning parameters (β, γ, thresholds) are *not*
-    /// in the snapshot — they stay whatever this agent was built with.
+    /// kind and shape. The tables are copied, transition records
+    /// included ([`TransitionModel::restore`]). Learning parameters (β, γ,
+    /// thresholds) are *not* in the snapshot — they stay whatever this
+    /// agent was built with.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::ShapeMismatch`] if the snapshot's kind, state
-    /// count or action count differ from this agent's.
+    /// count, action count or table lengths differ from this agent's, or
+    /// a transition record lies outside them. The agent is then
+    /// unchanged.
     pub fn restore_snapshot(&mut self, snap: &AgentSnapshot) -> Result<(), SnapshotError> {
         if snap.kind != self.kind {
             return Err(SnapshotError::ShapeMismatch("agent kind differs"));
@@ -221,22 +215,9 @@ impl Agent {
         {
             return Err(SnapshotError::ShapeMismatch("table length differs"));
         }
-        if snap.transitions.iter().any(|t| {
-            t.state >= snap.n_states || t.next_state >= snap.n_states || t.action >= snap.n_actions
-        }) {
-            return Err(SnapshotError::ShapeMismatch("transition out of range"));
-        }
+        self.transitions.restore(&snap.transitions)?;
         self.q.load_values(&snap.q);
         self.action_counts.copy_from_slice(&snap.action_counts);
-        self.transitions.clear();
-        for t in &snap.transitions {
-            self.transitions.record_many(
-                t.state as usize,
-                t.action as usize,
-                t.next_state as usize,
-                t.count,
-            );
-        }
         Ok(())
     }
 

@@ -303,12 +303,7 @@ impl MamutController {
                 w.put_u32(p.agent as u32);
                 w.put_u32(p.state as u32);
                 w.put_u32(p.action as u32);
-                w.put_u64(p.acc.count());
-                let (fps, psnr, br, pow) = p.acc.sums();
-                w.put_f64(fps);
-                w.put_f64(psnr);
-                w.put_f64(br);
-                w.put_f64(pow);
+                p.acc.write_to(&mut w);
             }
         }
         w.into_bytes()
@@ -347,13 +342,11 @@ impl MamutController {
             if action >= self.agents[agent].n_actions() {
                 return Err(SnapshotError::Corrupt("pending action out of range"));
             }
-            let count = r.get_u64()?;
-            let sums = (r.get_f64()?, r.get_f64()?, r.get_f64()?, r.get_f64()?);
             Some(Pending {
                 agent,
                 state,
                 action,
-                acc: ObservationAccumulator::from_parts(count, sums),
+                acc: ObservationAccumulator::read_from(&mut r)?,
             })
         } else {
             None

@@ -1,3 +1,5 @@
+use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
+
 /// What a controller can measure about one stream and the server.
 ///
 /// These four signals are exactly the paper's state inputs (§III-C):
@@ -100,22 +102,28 @@ impl ObservationAccumulator {
         *self = Self::default();
     }
 
-    /// Raw running sums `(fps, psnr_db, bitrate_mbps, power_w)` — exact
-    /// internal state for portable snapshots (means would lose bits).
-    pub fn sums(&self) -> (f64, f64, f64, f64) {
-        (self.fps, self.psnr_db, self.bitrate_mbps, self.power_w)
+    /// Writes the count, then the raw running sums — exact state for
+    /// portable snapshots (means would lose bits).
+    pub fn write_to(&self, w: &mut SnapshotWriter) {
+        w.put_u64(self.count);
+        for sum in [self.fps, self.psnr_db, self.bitrate_mbps, self.power_w] {
+            w.put_f64(sum);
+        }
     }
 
-    /// Rebuilds an accumulator from a count and raw sums captured with
-    /// [`ObservationAccumulator::sums`].
-    pub fn from_parts(count: u64, sums: (f64, f64, f64, f64)) -> Self {
-        ObservationAccumulator {
-            count,
-            fps: sums.0,
-            psnr_db: sums.1,
-            bitrate_mbps: sums.2,
-            power_w: sums.3,
-        }
+    /// Reads an accumulator written by [`ObservationAccumulator::write_to`].
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Truncated`] if the input ends early.
+    pub fn read_from(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(ObservationAccumulator {
+            count: r.get_u64()?,
+            fps: r.get_f64()?,
+            psnr_db: r.get_f64()?,
+            bitrate_mbps: r.get_f64()?,
+            power_w: r.get_f64()?,
+        })
     }
 }
 

@@ -141,7 +141,8 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// One observed transition `(s, a) → s'` with its count.
+/// One observed transition `(s, a) → s'` with its count, as both an
+/// [`AgentSnapshot`] and a [`TransitionModel`](crate::TransitionModel) list it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TransitionRecord {
     /// Source state index.
@@ -168,7 +169,9 @@ pub struct AgentSnapshot {
     /// Global per-action counts (`Num(a)`, length `n_actions`).
     pub action_counts: Vec<u32>,
     /// Sparse transition records, sorted by `(state, action, next_state)`
-    /// — canonical order so re-encoding is byte-identical.
+    /// — canonical order so re-encoding is byte-identical. Agents keep
+    /// their [`TransitionModel`](crate::TransitionModel) in this layout,
+    /// so capture and restore copy the list.
     pub transitions: Vec<TransitionRecord>,
 }
 

@@ -55,7 +55,9 @@ pub enum FaultEvent {
     },
     /// Thermal throttle: the node's effective DVFS frequency is capped
     /// at `freq_cap_ghz` for `duration_epochs` epochs. Controllers keep
-    /// announcing their knobs; the silicon just refuses to deliver.
+    /// announcing their knobs; the silicon just refuses to deliver. A
+    /// throttle that lands on a node already throttled replaces the live
+    /// one: its cap holds until its own end.
     ThermalThrottle {
         /// Epoch at whose start the cap engages.
         epoch: u64,

@@ -19,6 +19,9 @@
 //!   [`ControllerFactory`](crate::ControllerFactory) so each new session
 //!   is **seeded** from the store before its first frame (silently
 //!   falling back to a cold start when the store has nothing compatible).
+//!   A seed copies the entry's tables: an agent's
+//!   [`TransitionModel`](mamut_core::TransitionModel) keeps its counts as
+//!   the snapshot's own sorted record list, so nothing is replayed.
 //!
 //! The store is shared across nodes behind `Arc<Mutex<…>>`
 //! ([`SharedKnowledgeStore`]). Writes happen on the coordinating thread

@@ -250,11 +250,17 @@ impl ShardedFleetSim {
     /// fault, autoscale or dispatch step surfaces before any node of that
     /// epoch advances, and a node failure is the one with the lowest
     /// `(shard, node)` address. [`FleetError::EpochBudgetExhausted`] when
-    /// a shard's workload cannot drain within its epoch budget. On any
-    /// error, every traced shard keeps its flight-recorder dump (see
-    /// [`FleetSim::flight_dump`]).
+    /// a shard's workload cannot drain within its epoch budget. Every
+    /// run first drops each shard's previous flight-recorder dump. On an
+    /// error once the shards step, every traced shard keeps a dump of
+    /// this run (see [`FleetSim::flight_dump`]); a run rejected by the
+    /// checks above, or by a shard's own, leaves none.
     pub fn run(&mut self) -> Result<ShardedFleetSummary, FleetError> {
-        let result = self.run_inner();
+        for (_, sim) in &mut self.shards {
+            sim.clear_flight_dump();
+        }
+        self.begin_run()?;
+        let result = self.run_epochs();
         if result.is_err() {
             for (_, sim) in &mut self.shards {
                 sim.capture_flight_dump();
@@ -263,7 +269,10 @@ impl ShardedFleetSim {
         result
     }
 
-    fn run_inner(&mut self) -> Result<ShardedFleetSummary, FleetError> {
+    /// Checks the shards against each other, then resets run-scoped
+    /// state: the cross-shard report, every shard's run
+    /// ([`FleetSim::begin_run`]) and the coordinator's telemetry.
+    fn begin_run(&mut self) -> Result<(), FleetError> {
         self.report = ShardedFleetSummary::default();
         if self.shards.is_empty() {
             return Err(FleetError::NoNodes);
@@ -310,6 +319,10 @@ impl ShardedFleetSim {
             sim.begin_run()?;
         }
         self.telemetry.reset();
+        Ok(())
+    }
+
+    fn run_epochs(&mut self) -> Result<ShardedFleetSummary, FleetError> {
         loop {
             for (_, sim) in &mut self.shards {
                 sim.pre_advance()?;
@@ -354,6 +367,7 @@ impl ShardedFleetSim {
             }
         }
         let epochs = self.shards[0].1.epoch();
+        let epoch_s = self.shards[0].1.config().epoch_s;
         let shards = self
             .shards
             .iter_mut()

@@ -270,7 +270,9 @@ impl FleetSim {
     /// last run aborted with a typed error: this fleet's own
     /// [`FleetSim::run`], or the
     /// [`ShardedFleetSim::run`](crate::ShardedFleetSim::run) it is a
-    /// shard of. `None` after a clean run or with telemetry off.
+    /// shard of. `None` after a clean run, after a run its
+    /// configuration checks rejected, and with telemetry off: every run
+    /// drops the previous run's dump before it checks anything.
     pub fn flight_dump(&self) -> Option<&[u8]> {
         self.flight_dump.as_deref()
     }
@@ -282,6 +284,11 @@ impl FleetSim {
         if self.telemetry.enabled() {
             self.flight_dump = Some(self.trace().encode());
         }
+    }
+
+    /// Drops the last run's flight dump: a run starts without one.
+    pub(crate) fn clear_flight_dump(&mut self) {
+        self.flight_dump = None;
     }
 
     /// Simulated time of an epoch boundary in integer microseconds —
@@ -423,15 +430,16 @@ impl FleetSim {
     /// [`FleetError::EpochBudgetExhausted`] if the workload cannot drain
     /// (e.g. a gating policy queues a session no node can ever fit).
     pub fn run(&mut self) -> Result<FleetSummary, FleetError> {
-        let result = self.run_inner();
+        self.clear_flight_dump();
+        self.begin_run()?;
+        let result = self.run_epochs();
         if result.is_err() {
             self.capture_flight_dump();
         }
         result
     }
 
-    fn run_inner(&mut self) -> Result<FleetSummary, FleetError> {
-        self.begin_run()?;
+    fn run_epochs(&mut self) -> Result<FleetSummary, FleetError> {
         loop {
             self.step_epoch()?;
             if self.is_drained() {
@@ -479,7 +487,6 @@ impl FleetSim {
         self.throttles.clear();
         self.next_fault = 0;
         self.telemetry.reset();
-        self.flight_dump = None;
         Ok(())
     }
 
@@ -1012,6 +1019,8 @@ impl FleetSim {
                 {
                     self.nodes[node].set_freq_cap(Some(freq_cap_ghz));
                     let until_epoch = self.epoch + duration_epochs.max(1);
+                    // The newest throttle replaces a live one on the node.
+                    self.throttles.retain(|&(n, _)| n != node);
                     self.throttles.push((node, until_epoch));
                     self.mark_fault(format!("throttle:n{node}"));
                     self.telemetry.record(
@@ -2092,6 +2101,35 @@ mod tests {
     }
 
     #[test]
+    fn an_overlapping_throttle_holds_the_cap_until_its_own_end() {
+        let mut sim = chaos_fleet(2);
+        sim.set_telemetry(TelemetryMode::Full);
+        sim.set_fault_plan(
+            FaultPlan::new()
+                .with_throttle(1, 0, 1.8, 4)
+                .with_throttle(3, 0, 1.8, 4),
+        );
+        sim.begin_run().unwrap();
+        let mut capped = Vec::new();
+        while sim.epoch() < 8 {
+            sim.step_epoch().unwrap();
+            capped.push(sim.nodes()[0].server().freq_cap_ghz().is_some());
+        }
+        // Epochs 0..8: capped from the first throttle's epoch 1 through
+        // the second's last epoch, 6.
+        let expected = [false, true, true, true, true, true, true, false];
+        assert_eq!(capped, expected);
+        let ends: Vec<u64> = sim
+            .trace()
+            .events
+            .iter()
+            .filter(|e| matches!(e.event, TelemetryEvent::ThrottleEnd { node: 0 }))
+            .map(|e| e.epoch)
+            .collect();
+        assert_eq!(ends, vec![7]);
+    }
+
+    #[test]
     fn crashed_nodes_are_replaced_after_the_delay() {
         let mut sim = chaos_fleet(2);
         sim.set_autoscaler(Box::new(HoldScaler), provisioner());
@@ -2337,6 +2375,28 @@ mod tests {
             );
             assert!(sim.flight_dump().is_some(), "{workers} workers");
         }
+    }
+
+    #[test]
+    fn a_rerun_its_checks_reject_leaves_no_flight_dump() {
+        let mut sim = FleetSim::new(
+            FleetConfig::default(),
+            Box::new(RoundRobin::new()),
+            small_workload(11),
+        );
+        sim.add_node(Box::new(|_| {
+            Box::new(PanicAt {
+                inner: FixedController::new(KnobSettings::new(32, 4, 2.9)),
+                frame: 10,
+            })
+        }));
+        sim.set_telemetry(TelemetryMode::FlightRecorder { epochs: 4 });
+        assert!(sim.run().is_err());
+        assert!(sim.flight_dump().is_some());
+        // The failed run's dump describes that run, not the rejected one.
+        sim.config.epoch_s = 0.0;
+        assert!(matches!(sim.run(), Err(FleetError::InvalidConfig(_))));
+        assert_eq!(sim.flight_dump(), None);
     }
 
     #[test]

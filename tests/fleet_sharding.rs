@@ -3,7 +3,8 @@
 //! draining a node and the single-shard degenerate configuration have to
 //! compose without changing the physics, at any worker count and with
 //! shards that ask for different worker counts; node failures in several
-//! shards of one advance report the lowest `(shard, node)`. CI executes
+//! shards of one advance report the lowest `(shard, node)`, and a run
+//! rejected before it steps leaves no flight dump behind. CI executes
 //! this file in the same 1/2/8-worker `MAMUT_FLEET_WORKERS` matrix as
 //! `fleet_determinism.rs`.
 
@@ -200,6 +201,41 @@ fn the_lowest_shard_then_node_failure_wins_the_advance() {
             let dump = sim.flight_dump().expect("a traced shard keeps its dump");
             let trace = FleetTrace::decode(dump).expect("the dump decodes");
             assert!(!trace.is_empty(), "{name}, {workers} workers");
+        }
+    }
+}
+
+#[test]
+fn a_rerun_rejected_before_stepping_dumps_nothing() {
+    // A clean first run leaves its events in shard 0's flight recorder,
+    // a failed one leaves a dump as well. The rerun fails its
+    // epoch-length check before any shard resets, so a dump kept or
+    // taken then would hold the first run's events.
+    for first_run_fails in [false, true] {
+        let mut sharded = ShardedFleetSim::new(ShardConfig::default());
+        sharded.set_telemetry(TelemetryMode::FlightRecorder { epochs: 4 });
+        if first_run_fails {
+            sharded.add_shard("east", shard_with_panicking_node(2, 1, 0));
+            assert!(sharded.run().is_err());
+            assert!(sharded.shards()[0].1.flight_dump().is_some());
+        } else {
+            sharded.add_shard("east", hot_shard(2));
+            sharded.run().expect("the first run completes");
+        }
+        let mut late = FleetSim::new(
+            FleetConfig::default().with_epoch_s(0.5),
+            Box::new(LeastLoaded::new()),
+            Workload::replay(vec![request(100, 0.0, false, 60)]),
+        );
+        late.add_node(factory());
+        sharded.add_shard("west", late);
+        assert!(matches!(sharded.run(), Err(FleetError::InvalidConfig(_))));
+        for (name, sim) in sharded.shards() {
+            let stale = sim.flight_dump().map(<[u8]>::len);
+            assert_eq!(
+                stale, None,
+                "{name} holds a dump of this many bytes (first run fails: {first_run_fails})"
+            );
         }
     }
 }

@@ -10,38 +10,11 @@
 //! This test lives alone in its own binary so no concurrent test can
 //! allocate while the hot loop is being measured.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use mamut::prelude::*;
 
-/// Counts every allocation path; frees are not counted (a steady state
-/// is allowed to drop nothing, and counting both would hide an
-/// alloc/free churn pair).
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-}
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{allocations, CountingAllocator};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -78,11 +51,11 @@ fn steady_state_stepping_performs_zero_allocations() {
         assert!(srv.step(), "sessions must stay live through warm-up");
     }
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for _ in 0..10_000 {
         assert!(srv.step(), "sessions must stay live while measured");
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert_eq!(
         after - before,
