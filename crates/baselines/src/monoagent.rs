@@ -1,5 +1,5 @@
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use mamut_core::reward::{total_reward, RewardWeights};
 use mamut_core::snapshot::{PolicySnapshot, SnapshotError, SnapshotReader, SnapshotWriter};
@@ -241,22 +241,7 @@ impl Controller for MonoAgentController {
         let action = match phase {
             Phase::Exploration => {
                 self.exploration_decisions += 1;
-                let immature = self.agent.immature_actions(state, 0);
-                if immature.is_empty() {
-                    self.agent.greedy(state)
-                } else {
-                    let untried: Vec<usize> = immature
-                        .iter()
-                        .copied()
-                        .filter(|&a| self.agent.visits(state, a) == 0)
-                        .collect();
-                    let pool = if untried.is_empty() {
-                        &immature
-                    } else {
-                        &untried
-                    };
-                    pool[self.rng.gen_range(0..pool.len())]
-                }
+                self.agent.explore(state, 0, &mut self.rng)
             }
             _ => {
                 self.exploitation_decisions += 1;
@@ -304,12 +289,11 @@ impl Controller for MonoAgentController {
 
     fn restore(&mut self, snapshot: &PolicySnapshot) -> Result<(), SnapshotError> {
         snapshot.expect_controller("mono-agent")?;
-        let [table] = snapshot.agents.as_slice() else {
-            return Err(SnapshotError::ShapeMismatch("expected one joint agent"));
-        };
-        let mut staged = self.agent.clone();
-        staged.restore_snapshot(table)?;
+        // Nothing is written before every check has passed: `extra`
+        // decodes into locals, then the table restores all or nothing.
+        let agent = std::slice::from_mut(&mut self.agent);
         if snapshot.extra.is_empty() {
+            Agent::restore_all(agent, &snapshot.agents)?;
             // Knowledge-only restore: fresh execution state, zeroed
             // decision counters (they count this controller's own
             // decisions — see `MamutController::restore`).
@@ -337,12 +321,12 @@ impl Controller for MonoAgentController {
                 None
             };
             r.expect_end()?;
+            Agent::restore_all(agent, &snapshot.agents)?;
             self.pending = pending;
             self.rng = StdRng::from_state(rng_state);
             self.exploration_decisions = snapshot.exploration_decisions;
             self.exploitation_decisions = snapshot.exploitation_decisions;
         }
-        self.agent = staged;
         self.knobs = snapshot.knobs;
         Ok(())
     }
@@ -499,6 +483,32 @@ mod tests {
             Controller::snapshot(&original).encode(),
             Controller::snapshot(&restored).encode()
         );
+    }
+
+    #[test]
+    fn a_failed_restore_writes_nothing() {
+        let trained = |seed, fps| {
+            let cfg = MonoAgentConfig::paper_hr().with_seed(seed);
+            let mut ctl = MonoAgentController::new(cfg).unwrap();
+            let c = Constraints::paper_defaults();
+            for f in 0..901u64 {
+                ctl.begin_frame(f, &obs(fps), &c);
+                ctl.end_frame(f, &obs(fps), &c);
+            }
+            ctl
+        };
+        let mut ctl = trained(5, 24.5);
+        let before = Controller::snapshot(&ctl).encode();
+        // Trained apart, so its table differs from `ctl`'s.
+        let full = Controller::snapshot(&trained(6, 27.5));
+        let mut bad_extra = full.clone();
+        bad_extra.extra.pop();
+        let mut bad_table = full;
+        bad_table.agents[0].n_actions += 1;
+        for bad in [bad_extra, bad_table.clone(), bad_table.into_knowledge()] {
+            assert!(ctl.restore(&bad).is_err());
+            assert_eq!(Controller::snapshot(&ctl).encode(), before);
+        }
     }
 
     #[test]

@@ -1,14 +1,18 @@
+use rand::Rng;
+
 use crate::snapshot::{AgentSnapshot, SnapshotError};
 use crate::{AgentKind, LearningRateParams, Phase, QTable, TransitionModel};
 
 /// One Q-learning agent: a Q-table, a transition model, visit counters and
 /// the Eq. 3 learning-rate schedule.
 ///
-/// Agents are deliberately passive — they hold knowledge and answer
-/// queries; *when* they act and *how* their choices combine is the
-/// controller's job (schedule + Algorithm 1). This keeps the same type
-/// reusable for MAMUT's three specialist agents and for the mono-agent
-/// baseline's single joint-action agent.
+/// An agent holds its knowledge and the two rules every tabular
+/// controller applies to it the same way: the §IV-A exploration pick
+/// ([`Agent::explore`]) and an all-or-nothing table restore
+/// ([`Agent::restore_all`]). *When* an agent acts and *how* the agents'
+/// choices combine is the controller's job (schedule + Algorithm 1). This
+/// keeps the same type reusable for MAMUT's three specialist agents and
+/// for the mono-agent baseline's single joint-action agent.
 ///
 /// # Example
 ///
@@ -121,25 +125,27 @@ impl Agent {
         }
     }
 
-    /// Actions of `state` still in exploration (α ≥ α_th1), untried first.
-    ///
-    /// The returned vector is ordered: unvisited actions first, then
-    /// visited-but-immature ones, preserving index order within each group.
-    pub fn immature_actions(&self, state: usize, peer_min_sum: u32) -> Vec<usize> {
-        let mut untried = Vec::new();
-        let mut immature = Vec::new();
-        for a in 0..self.n_actions() {
-            let visits = self.visits(state, a);
-            if visits == 0 {
-                untried.push(a);
-            } else if self.lr.phase_of_alpha(self.alpha(state, a, peer_min_sum))
-                == Phase::Exploration
-            {
-                immature.push(a);
-            }
+    /// The §IV-A exploration pick in `state`: one uniform draw among the
+    /// untried actions while any remain, else among the actions whose α
+    /// is still at or above α_th1, else the greedy action (no draw). Each
+    /// pool is taken in index order.
+    pub fn explore(&self, state: usize, peer_min_sum: u32, rng: &mut impl Rng) -> usize {
+        let exploring = |a| {
+            let alpha = self.alpha(state, a, peer_min_sum);
+            self.lr.phase_of_alpha(alpha) == Phase::Exploration
+        };
+        self.draw(rng, |a| self.visits(state, a) == 0)
+            .or_else(|| self.draw(rng, exploring))
+            .unwrap_or_else(|| self.greedy(state))
+    }
+
+    /// One uniform draw among the actions `in_pool` accepts, if any.
+    fn draw(&self, rng: &mut impl Rng, in_pool: impl Fn(usize) -> bool) -> Option<usize> {
+        let mut pool = (0..self.n_actions()).filter(|&a| in_pool(a));
+        match pool.clone().count() {
+            0 => None,
+            n => pool.nth(rng.gen_range(0..n)),
         }
-        untried.extend(immature);
-        untried
     }
 
     /// Greedy action in `state` from this agent's own Q-table.
@@ -188,19 +194,38 @@ impl Agent {
         }
     }
 
-    /// Overwrites the agent's learned state from a snapshot of the same
-    /// kind and shape. The tables are copied, transition records
-    /// included ([`TransitionModel::restore`]). Learning parameters (β, γ,
-    /// thresholds) are *not* in the snapshot — they stay whatever this
-    /// agent was built with.
+    /// Overwrites each agent's learned state from the snapshot at the
+    /// same position, all or nothing: every snapshot is checked against
+    /// its agent before any agent is written. The tables are copied in
+    /// place, transition records included, so a restore allocates only
+    /// what a record list must grow by. Learning parameters (β, γ,
+    /// thresholds) are *not* in a snapshot — they stay whatever each agent
+    /// was built with.
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::ShapeMismatch`] if the snapshot's kind, state
-    /// count, action count or table lengths differ from this agent's, or
-    /// a transition record lies outside them. The agent is then
-    /// unchanged.
-    pub fn restore_snapshot(&mut self, snap: &AgentSnapshot) -> Result<(), SnapshotError> {
+    /// [`SnapshotError::ShapeMismatch`] if the counts differ, or a
+    /// snapshot's kind, state count, action count or table lengths differ
+    /// from its agent's, or one of its transition records lies outside
+    /// them. No agent is then changed.
+    pub fn restore_all(agents: &mut [Agent], snaps: &[AgentSnapshot]) -> Result<(), SnapshotError> {
+        if agents.len() != snaps.len() {
+            return Err(SnapshotError::ShapeMismatch("agent count differs"));
+        }
+        for (agent, snap) in agents.iter().zip(snaps) {
+            agent.check(snap)?;
+        }
+        for (agent, snap) in agents.iter_mut().zip(snaps) {
+            agent.transitions.load(&snap.transitions);
+            agent.q.load_values(&snap.q);
+            agent.action_counts.copy_from_slice(&snap.action_counts);
+        }
+        Ok(())
+    }
+
+    /// Checks that `snap` fits this agent, as [`Agent::restore_all`]
+    /// requires.
+    fn check(&self, snap: &AgentSnapshot) -> Result<(), SnapshotError> {
         if snap.kind != self.kind {
             return Err(SnapshotError::ShapeMismatch("agent kind differs"));
         }
@@ -215,10 +240,7 @@ impl Agent {
         {
             return Err(SnapshotError::ShapeMismatch("table length differs"));
         }
-        self.transitions.restore(&snap.transitions)?;
-        self.q.load_values(&snap.q);
-        self.action_counts.copy_from_slice(&snap.action_counts);
-        Ok(())
+        self.transitions.check(&snap.transitions)
     }
 
     /// Number of states whose phase is at least `phase` among those visited
@@ -243,6 +265,8 @@ impl Agent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn agent(n_actions: usize) -> Agent {
         Agent::new(
@@ -254,11 +278,22 @@ mod tests {
         )
     }
 
+    /// Asserts that `explore` in state 0 draws uniformly from `pool` in
+    /// index order: on every RNG stream it picks the action at the index
+    /// that stream's one `gen_range` draw names.
+    fn assert_explores(ag: &Agent, pool: &[usize]) {
+        for seed in 0..64 {
+            let k = StdRng::seed_from_u64(seed).gen_range(0..pool.len());
+            let picked = ag.explore(0, 1000, &mut StdRng::seed_from_u64(seed));
+            assert_eq!(picked, pool[k], "seed {seed}");
+        }
+    }
+
     #[test]
     fn fresh_agent_is_fully_exploring() {
         let ag = agent(3);
         assert_eq!(ag.state_phase(0, 1000), Phase::Exploration);
-        assert_eq!(ag.immature_actions(0, 1000), vec![0, 1, 2]);
+        assert_explores(&ag, &[0, 1, 2]);
         assert_eq!(ag.min_action_count(), 0);
     }
 
@@ -349,13 +384,28 @@ mod tests {
     }
 
     #[test]
-    fn immature_actions_orders_untried_first() {
-        let mut ag = agent(3);
+    fn explore_draws_untried_then_exploring_then_greedy() {
+        let mut ag = agent(4);
+        // Action 2 has one visit (α ≈ 0.3, still exploring), but untried
+        // actions come first.
         ag.observe(0, 2, 0.0, 0, 1000);
-        let order = ag.immature_actions(0, 1000);
-        assert_eq!(order, vec![0, 1, 2]);
-        // Action 2 has one visit: α = 0.3 ≥ 0.1, still immature but listed
-        // after the untried ones.
+        assert_explores(&ag, &[0, 1, 3]);
+        // Every action tried: four visits take actions 1 and 3 below
+        // α_th1 (α ≈ 0.075), so only actions 0 and 2 are drawn.
+        for _ in 0..4 {
+            ag.observe(0, 1, 0.0, 0, 1000);
+            ag.observe(0, 3, 5.0, 0, 1000);
+        }
+        ag.observe(0, 0, 0.0, 0, 1000);
+        assert_explores(&ag, &[0, 2]);
+        // Nothing left in exploration: the greedy action, with no draw.
+        for _ in 0..3 {
+            ag.observe(0, 0, 0.0, 0, 1000);
+            ag.observe(0, 2, 0.0, 0, 1000);
+        }
+        let mut rng = StdRng::seed_from_u64(5);
+        assert_eq!(ag.explore(0, 1000, &mut rng), 3);
+        assert_eq!(rng.state(), StdRng::seed_from_u64(5).state());
     }
 
     #[test]

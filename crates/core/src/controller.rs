@@ -1,7 +1,7 @@
 use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::observation::ObservationAccumulator;
 use crate::reward::total_reward;
@@ -185,24 +185,7 @@ impl MamutController {
             Phase::Exploration => {
                 self.exploration_decisions += 1;
                 self.push_phase(Phase::Exploration);
-                let immature = self.agents[actor].immature_actions(state, peer_min);
-                if immature.is_empty() {
-                    self.agents[actor].greedy(state)
-                } else {
-                    // Untried actions come first; sample among the leading
-                    // group of untried ones when present, else any immature.
-                    let untried: Vec<usize> = immature
-                        .iter()
-                        .copied()
-                        .filter(|&a| self.agents[actor].visits(state, a) == 0)
-                        .collect();
-                    let pool = if untried.is_empty() {
-                        &immature
-                    } else {
-                        &untried
-                    };
-                    pool[self.rng.gen_range(0..pool.len())]
-                }
+                self.agents[actor].explore(state, peer_min, &mut self.rng)
             }
             Phase::ExplorationExploitation => {
                 self.exploitation_decisions += 1;
@@ -309,9 +292,12 @@ impl MamutController {
         w.into_bytes()
     }
 
-    /// Decodes what [`MamutController::encode_private`] wrote.
-    fn restore_private(&mut self, extra: &[u8]) -> Result<(), SnapshotError> {
-        let mut r = SnapshotReader::new(extra);
+    /// Restores a full snapshot: decodes what
+    /// [`MamutController::encode_private`] wrote into locals, copies the
+    /// tables, and only then writes the execution state, so a failed
+    /// restore leaves the controller untouched.
+    fn restore_full(&mut self, snapshot: &PolicySnapshot) -> Result<(), SnapshotError> {
+        let mut r = SnapshotReader::new(&snapshot.extra);
         let mut rng_state = [0u64; 4];
         for word in &mut rng_state {
             *word = r.get_u64()?;
@@ -352,10 +338,13 @@ impl MamutController {
             None
         };
         r.expect_end()?;
+        Agent::restore_all(&mut self.agents, &snapshot.agents)?;
         self.rng = StdRng::from_state(rng_state);
         self.decisions_per_agent = decisions;
         self.recent_phases = phases;
         self.pending = pending;
+        self.exploration_decisions = snapshot.exploration_decisions;
+        self.exploitation_decisions = snapshot.exploitation_decisions;
         Ok(())
     }
 }
@@ -424,16 +413,8 @@ impl Controller for MamutController {
 
     fn restore(&mut self, snapshot: &PolicySnapshot) -> Result<(), SnapshotError> {
         snapshot.expect_controller("mamut")?;
-        if snapshot.agents.len() != self.agents.len() {
-            return Err(SnapshotError::ShapeMismatch("agent count differs"));
-        }
-        // Validate every table before mutating anything, so a failed
-        // restore leaves the controller untouched.
-        let mut staged = self.agents.clone();
-        for (agent, snap) in staged.iter_mut().zip(&snapshot.agents) {
-            agent.restore_snapshot(snap)?;
-        }
         if snapshot.extra.is_empty() {
+            Agent::restore_all(&mut self.agents, &snapshot.agents)?;
             // Knowledge-only snapshot (e.g. from a fleet store): adopt
             // the learned tables and operating point, keep this
             // controller's own RNG stream, and zero the decision
@@ -442,15 +423,12 @@ impl Controller for MamutController {
             // measure against a cold start.
             self.pending = None;
             self.recent_phases.clear();
-            self.decisions_per_agent = vec![0; self.agents.len()];
+            self.decisions_per_agent.fill(0);
             self.exploration_decisions = 0;
             self.exploitation_decisions = 0;
         } else {
-            self.restore_private(&snapshot.extra)?;
-            self.exploration_decisions = snapshot.exploration_decisions;
-            self.exploitation_decisions = snapshot.exploitation_decisions;
+            self.restore_full(snapshot)?;
         }
-        self.agents = staged;
         self.knobs = snapshot.knobs;
         Ok(())
     }
@@ -721,5 +699,39 @@ mod tests {
         // A failed restore must leave the controller fully usable.
         let c = Constraints::paper_defaults();
         assert!(ctl.begin_frame(0, &obs(24.0), &c).is_some());
+    }
+
+    /// A controller trained at `seed` and `fps`, mid-run (a pending
+    /// update window is live).
+    fn trained(seed: u64, fps: f64) -> MamutController {
+        let mut ctl = MamutController::new(MamutConfig::paper_hr().with_seed(seed)).unwrap();
+        run_frames(&mut ctl, 0..3_001, fps);
+        ctl
+    }
+
+    #[test]
+    fn a_bad_last_table_fails_the_restore_before_any_agent_is_written() {
+        let mut ctl = trained(4, 24.5);
+        let before = Controller::snapshot(&ctl).encode();
+        // Trained apart, so its first two tables differ from `ctl`'s.
+        let mut full = Controller::snapshot(&trained(8, 27.5));
+        full.agents[2].n_actions += 1;
+        for snap in [full.clone(), full.into_knowledge()] {
+            assert_eq!(
+                ctl.restore(&snap),
+                Err(SnapshotError::ShapeMismatch("action count differs"))
+            );
+            assert_eq!(Controller::snapshot(&ctl).encode(), before);
+        }
+    }
+
+    #[test]
+    fn a_truncated_extra_fails_the_restore_before_the_tables_are_written() {
+        let mut ctl = trained(4, 24.5);
+        let before = Controller::snapshot(&ctl).encode();
+        let mut snap = Controller::snapshot(&trained(8, 27.5));
+        snap.extra.pop();
+        assert_eq!(ctl.restore(&snap), Err(SnapshotError::Truncated));
+        assert_eq!(Controller::snapshot(&ctl).encode(), before);
     }
 }

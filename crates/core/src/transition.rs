@@ -30,7 +30,7 @@ pub struct TransitionModel {
     n_states: usize,
     n_actions: usize,
     /// Every observed transition with its count, sorted by
-    /// `(state, action, next_state)` with no key twice.
+    /// `(state, action, next_state)` with no key twice and no zero count.
     records: Vec<TransitionRecord>,
     /// Cell `i`'s run is `records[offsets[i]..offsets[i + 1]]`.
     offsets: Vec<u32>,
@@ -142,20 +142,15 @@ impl TransitionModel {
     }
 
     /// Every recorded transition, sorted by `(state, action, next_state)`
-    /// with no key twice: the canonical order snapshots serialize.
+    /// with no key twice and no zero count: the canonical order snapshots
+    /// serialize.
     pub fn records(&self) -> &[TransitionRecord] {
         &self.records
     }
 
-    /// Replaces the model's counts with `records`, which may come in any
-    /// order and repeat a key: repeats add up with saturation, as if
-    /// every record had been recorded that many times.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::ShapeMismatch`] if a record's state, action or
-    /// successor lies outside this model; the model is then unchanged.
-    pub fn restore(&mut self, records: &[TransitionRecord]) -> Result<(), SnapshotError> {
+    /// Checks that every record's state, action and successor lie inside
+    /// this model, as [`TransitionModel::load`] requires.
+    pub(crate) fn check(&self, records: &[TransitionRecord]) -> Result<(), SnapshotError> {
         if records.iter().any(|r| {
             r.state as usize >= self.n_states
                 || r.next_state as usize >= self.n_states
@@ -163,6 +158,16 @@ impl TransitionModel {
         }) {
             return Err(SnapshotError::ShapeMismatch("transition out of range"));
         }
+        Ok(())
+    }
+
+    /// Replaces the model's counts with `records`, which passed
+    /// [`TransitionModel::check`] and may come in any order and repeat a
+    /// key: repeats add up with saturation, as if every record had been
+    /// recorded that many times, and a key whose count adds up to zero
+    /// is dropped, since it was never visited.
+    pub(crate) fn load(&mut self, records: &[TransitionRecord]) {
+        debug_assert!(self.check(records).is_ok());
         self.records.clear();
         self.records.extend_from_slice(records);
         // In place, and one linear pass on the canonical order every
@@ -176,6 +181,7 @@ impl TransitionModel {
             }
             repeat
         });
+        self.records.retain(|r| r.count > 0);
         self.totals.fill(0);
         self.offsets.fill(0);
         for r in &self.records {
@@ -188,7 +194,6 @@ impl TransitionModel {
             *offset += end;
             *offset
         });
-        Ok(())
     }
 
     /// Number of states this model covers.
@@ -282,6 +287,13 @@ mod tests {
         assert_eq!(t.prob(1, 0, 1), 1.0);
     }
 
+    /// A checked load, as `Agent::restore_all` makes one.
+    fn restore(t: &mut TransitionModel, records: &[TransitionRecord]) -> Result<(), SnapshotError> {
+        t.check(records)?;
+        t.load(records);
+        Ok(())
+    }
+
     fn rec(state: u32, action: u32, next_state: u32, count: u32) -> TransitionRecord {
         TransitionRecord {
             state,
@@ -336,7 +348,7 @@ mod tests {
             // Restore replaces what the model held before.
             let mut restored = TransitionModel::new(n_states, n_actions);
             restored.record(0, 0, 0);
-            restored.restore(&records).unwrap();
+            restore(&mut restored, &records).unwrap();
             assert_eq!(observe(&restored), observe(&recorded), "seed {seed}");
             assert_eq!(restored, recorded, "seed {seed}: offsets and totals too");
             assert!(restored
@@ -349,8 +361,7 @@ mod tests {
     #[test]
     fn restored_repeats_saturate_in_the_record_and_the_total() {
         let mut t = TransitionModel::new(3, 2);
-        t.restore(&[rec(1, 1, 2, 5), rec(1, 1, 2, u32::MAX - 1)])
-            .unwrap();
+        restore(&mut t, &[rec(1, 1, 2, 5), rec(1, 1, 2, u32::MAX - 1)]).unwrap();
         assert_eq!(t.records(), &[rec(1, 1, 2, u32::MAX)]);
         assert_eq!(t.count(1, 1), u32::MAX);
         t.record(1, 1, 2);
@@ -365,10 +376,26 @@ mod tests {
         let before = t.clone();
         for bad in [rec(3, 0, 0, 1), rec(0, 2, 0, 1), rec(0, 0, 3, 1)] {
             assert_eq!(
-                t.restore(&[rec(1, 0, 1, 4), bad]),
+                restore(&mut t, &[rec(1, 0, 1, 4), bad]),
                 Err(SnapshotError::ShapeMismatch("transition out of range"))
             );
             assert_eq!(t, before);
         }
+    }
+
+    #[test]
+    fn a_zero_count_record_loads_as_never_visited() {
+        let mut t = TransitionModel::new(3, 2);
+        restore(&mut t, &[rec(0, 0, 1, 0)]).unwrap();
+        assert_eq!(t.records(), &[]);
+        assert_eq!(t.count(0, 0), 0);
+        assert_eq!(t.successors(0, 0).count(), 0);
+        assert_eq!(t.successor_count(0, 0), 0);
+        assert_eq!(t, TransitionModel::new(3, 2), "offsets and totals too");
+        // Repeats merge before zero counts drop.
+        restore(&mut t, &[rec(0, 0, 1, 0), rec(1, 1, 2, 0), rec(0, 0, 1, 2)]).unwrap();
+        assert_eq!(t.records(), &[rec(0, 0, 1, 2)]);
+        assert_eq!(t.successors(0, 0).collect::<Vec<_>>(), vec![(1, 1.0)]);
+        assert_eq!(t.successor_count(1, 1), 0);
     }
 }

@@ -21,7 +21,10 @@
 //!   falling back to a cold start when the store has nothing compatible).
 //!   A seed copies the entry's tables: an agent's
 //!   [`TransitionModel`](mamut_core::TransitionModel) keeps its counts as
-//!   the snapshot's own sorted record list, so nothing is replayed.
+//!   the snapshot's own sorted record list, so nothing is replayed. The
+//!   copy goes in place ([`Agent::restore_all`](mamut_core::Agent::restore_all)
+//!   checks every table before it writes any), so a seed stages no copy
+//!   of the controller's agents.
 //!
 //! The store is shared across nodes behind `Arc<Mutex<…>>`
 //! ([`SharedKnowledgeStore`]). Writes happen on the coordinating thread

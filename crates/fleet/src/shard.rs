@@ -673,7 +673,7 @@ mod tests {
     }
 
     fn workload(seed: u64, sessions: usize) -> Workload {
-        Workload::generate(&WorkloadConfig {
+        Workload::try_generate(&WorkloadConfig {
             seed,
             sessions,
             mean_interarrival_s: 1.0,
@@ -681,6 +681,7 @@ mod tests {
             live_frames: (90, 180),
             ..WorkloadConfig::default()
         })
+        .expect("valid workload config")
     }
 
     fn shard_sim(seed: u64, sessions: usize, nodes: usize) -> FleetSim {

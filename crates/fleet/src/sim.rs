@@ -1451,7 +1451,7 @@ mod tests {
     }
 
     fn small_workload(seed: u64) -> Workload {
-        Workload::generate(&WorkloadConfig {
+        Workload::try_generate(&WorkloadConfig {
             seed,
             sessions: 8,
             mean_interarrival_s: 1.0,
@@ -1459,6 +1459,7 @@ mod tests {
             live_frames: (90, 180),
             ..WorkloadConfig::default()
         })
+        .expect("valid workload config")
     }
 
     fn fleet(nodes: usize, workers: usize, dispatcher: Box<dyn Dispatcher>) -> FleetSim {

@@ -213,17 +213,6 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Generates a churn workload from `config` (deterministic).
-    ///
-    /// # Panics
-    ///
-    /// On a structurally invalid config (the typed rejection
-    /// [`WorkloadConfig::validate`] would return). Use
-    /// [`Workload::try_generate`] to handle the error instead.
-    pub fn generate(config: &WorkloadConfig) -> Workload {
-        Workload::try_generate(config).unwrap_or_else(|e| panic!("invalid WorkloadConfig: {e}"))
-    }
-
     /// Generates a churn workload from `config` (deterministic),
     /// validating it first.
     ///
@@ -300,17 +289,21 @@ impl Workload {
 mod tests {
     use super::*;
 
+    fn generate(config: &WorkloadConfig) -> Workload {
+        Workload::try_generate(config).expect("valid workload config")
+    }
+
     #[test]
     fn generation_is_deterministic() {
         let cfg = WorkloadConfig::default();
-        assert_eq!(Workload::generate(&cfg), Workload::generate(&cfg));
-        let other = Workload::generate(&cfg.clone().with_seed(2));
-        assert_ne!(Workload::generate(&cfg), other);
+        assert_eq!(generate(&cfg), generate(&cfg));
+        let other = generate(&cfg.clone().with_seed(2));
+        assert_ne!(generate(&cfg), other);
     }
 
     #[test]
     fn arrivals_are_sorted_and_sized() {
-        let w = Workload::generate(&WorkloadConfig::default().with_sessions(50));
+        let w = generate(&WorkloadConfig::default().with_sessions(50));
         assert_eq!(w.len(), 50);
         for pair in w.arrivals().windows(2) {
             assert!(pair[0].arrival_s <= pair[1].arrival_s);
@@ -326,7 +319,7 @@ mod tests {
             live_ratio: 0.0,
             ..WorkloadConfig::default()
         };
-        let w = Workload::generate(&cfg);
+        let w = generate(&cfg);
         let hr = w.arrivals().iter().filter(|r| r.hr).count();
         assert!((60..=140).contains(&hr), "hr count {hr} far from 25 %");
         assert!(w.arrivals().iter().all(|r| !r.live));
@@ -340,7 +333,7 @@ mod tests {
             live_ratio: 0.5,
             ..WorkloadConfig::default()
         };
-        let w = Workload::generate(&cfg);
+        let w = generate(&cfg);
         let mean = |live: bool| {
             let xs: Vec<u64> = w
                 .arrivals()
@@ -355,7 +348,7 @@ mod tests {
 
     #[test]
     fn requests_build_matching_specs() {
-        let w = Workload::generate(&WorkloadConfig::default());
+        let w = generate(&WorkloadConfig::default());
         for r in w.arrivals() {
             let spec = r.spec();
             assert_eq!(spec.resolution().is_high_resolution(), r.hr);
@@ -438,19 +431,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid WorkloadConfig")]
-    fn generate_panics_with_the_typed_error_message() {
-        Workload::generate(&WorkloadConfig::default().with_sessions(0));
-    }
-
-    #[test]
     fn valid_config_passes_validation_and_generates() {
         let cfg = WorkloadConfig::default();
         assert_eq!(cfg.validate(), Ok(()));
-        assert_eq!(
-            Workload::try_generate(&cfg).unwrap(),
-            Workload::generate(&cfg)
-        );
+        assert_eq!(Workload::try_generate(&cfg).unwrap().len(), cfg.sessions);
     }
 
     #[test]

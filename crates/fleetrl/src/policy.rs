@@ -12,6 +12,7 @@
 //! controller policies and forecaster state.
 
 use mamut_core::snapshot::{Format, SnapshotError};
+use mamut_core::QTable;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Framing of an encoded fleet-policy state.
@@ -130,10 +131,9 @@ impl Default for EpsilonSchedule {
 /// so a restored policy replays byte-identical decisions.
 #[derive(Debug, Clone)]
 pub struct FleetPolicy {
-    n_states: usize,
-    /// Dense row-major Q-values (`n_states × JointAction::COUNT`).
-    q: Vec<f64>,
-    /// Per-(state, action) selection counts, same layout as `q`.
+    /// Q-values over `n_states × JointAction::COUNT`.
+    q: QTable,
+    /// Per-(state, action) selection counts, row-major like `q`.
     visits: Vec<u32>,
     /// Learning rate in `(0, 1]`.
     pub alpha: f64,
@@ -150,10 +150,13 @@ pub struct FleetPolicy {
 impl FleetPolicy {
     /// A zero-initialized policy over `n_states` featurizer states,
     /// seeded for reproducible exploration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_states` is zero (propagated from [`QTable::new`]).
     pub fn new(n_states: usize, seed: u64) -> Self {
         FleetPolicy {
-            n_states,
-            q: vec![0.0; n_states * JointAction::COUNT],
+            q: QTable::new(n_states, JointAction::COUNT),
             visits: vec![0; n_states * JointAction::COUNT],
             alpha: 0.15,
             gamma: 0.92,
@@ -180,7 +183,7 @@ impl FleetPolicy {
 
     /// States in the Q-table.
     pub fn n_states(&self) -> usize {
-        self.n_states
+        self.q.n_states()
     }
 
     /// Selections made over the policy's lifetime.
@@ -205,7 +208,7 @@ impl FleetPolicy {
 
     /// The Q-value of `(state, action)`.
     pub fn q_value(&self, state: usize, action: JointAction) -> f64 {
-        self.q[state * JointAction::COUNT + action.index()]
+        self.q.get(state, action.index())
     }
 
     /// Times `(state, action)` was selected.
@@ -221,14 +224,7 @@ impl FleetPolicy {
     /// The greedy action in `state` (ties: lowest action index, so
     /// evaluation is deterministic).
     pub fn greedy(&self, state: usize) -> JointAction {
-        let row = &self.q[state * JointAction::COUNT..(state + 1) * JointAction::COUNT];
-        let mut best = 0usize;
-        for (i, &v) in row.iter().enumerate().skip(1) {
-            if v > row[best] {
-                best = i;
-            }
-        }
-        JointAction::from_index(best)
+        JointAction::from_index(self.q.argmax(state))
     }
 
     /// ε-greedy training selection in `state`: with probability ε (from
@@ -258,11 +254,8 @@ impl FleetPolicy {
     /// One Q-learning backup:
     /// `Q(s,a) += α (r + γ·max_a' Q(s',a') − Q(s,a))`.
     pub fn update(&mut self, state: usize, action: JointAction, reward: f64, next_state: usize) {
-        let next_row =
-            &self.q[next_state * JointAction::COUNT..(next_state + 1) * JointAction::COUNT];
-        let max_next = next_row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let cell = state * JointAction::COUNT + action.index();
-        self.q[cell] += self.alpha * (reward + self.gamma * max_next - self.q[cell]);
+        let target = reward + self.gamma * self.q.max_q(next_state);
+        self.q.update(state, action.index(), target, self.alpha);
     }
 
     /// Serializes the policy's full state — Q-values, visit counts,
@@ -273,7 +266,7 @@ impl FleetPolicy {
     pub fn snapshot_state(&self) -> Vec<u8> {
         let mut w = FLEET_POLICY_FORMAT.writer();
         w.put_str(POLICY_TAG);
-        w.put_u32(self.n_states as u32);
+        w.put_u32(self.q.n_states() as u32);
         w.put_u32(JointAction::COUNT as u32);
         w.put_f64(self.alpha);
         w.put_f64(self.gamma);
@@ -286,7 +279,7 @@ impl FleetPolicy {
         for s in self.rng.state() {
             w.put_u64(s);
         }
-        for &q in &self.q {
+        for &q in self.q.values() {
             w.put_f64(q);
         }
         for &v in &self.visits {
@@ -308,7 +301,7 @@ impl FleetPolicy {
             r.expect_tag(POLICY_TAG)?;
             let n_states = r.get_u32()? as usize;
             let n_actions = r.get_u32()? as usize;
-            if n_states != self.n_states || n_actions != JointAction::COUNT {
+            if n_states != self.q.n_states() || n_actions != JointAction::COUNT {
                 return Err(SnapshotError::ShapeMismatch(
                     "fleet-policy table dimensions differ",
                 ));
@@ -328,16 +321,17 @@ impl FleetPolicy {
                 *s = r.get_u64()?;
             }
             let cells = n_states * n_actions;
-            let mut q = Vec::with_capacity(r.bound_count(cells, 8)?);
+            let mut values = Vec::with_capacity(r.bound_count(cells, 8)?);
             for _ in 0..cells {
-                q.push(r.get_finite("non-finite q-value")?);
+                values.push(r.get_finite("non-finite q-value")?);
             }
+            let mut q = QTable::new(n_states, n_actions);
+            q.load_values(&values);
             let mut visits = Vec::with_capacity(r.bound_count(cells, 4)?);
             for _ in 0..cells {
                 visits.push(r.get_u32()?);
             }
             Ok(FleetPolicy {
-                n_states,
                 q,
                 visits,
                 alpha,

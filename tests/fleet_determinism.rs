@@ -63,7 +63,7 @@ fn mamut_factory() -> mamut::fleet::ControllerFactory {
 }
 
 fn workload(seed: u64) -> Workload {
-    Workload::generate(&WorkloadConfig {
+    Workload::try_generate(&WorkloadConfig {
         seed,
         sessions: 20,
         mean_interarrival_s: 0.5,
@@ -72,6 +72,7 @@ fn workload(seed: u64) -> Workload {
         vod_frames: (30, 90),
         live_frames: (90, 240),
     })
+    .expect("valid workload config")
 }
 
 fn dispatcher(name: &str) -> Box<dyn Dispatcher> {
@@ -193,7 +194,7 @@ fn elastic_summary_text(workers: usize) -> String {
     // Quiet start, hard burst, quiet tail: forces both directions of
     // scaling within one run.
     let burst: Vec<SessionRequest> = {
-        let quiet = Workload::generate(&WorkloadConfig {
+        let quiet = Workload::try_generate(&WorkloadConfig {
             seed: 7,
             sessions: 6,
             mean_interarrival_s: 2.5,
@@ -201,8 +202,9 @@ fn elastic_summary_text(workers: usize) -> String {
             live_ratio: 0.3,
             vod_frames: (60, 150),
             live_frames: (300, 600),
-        });
-        let spike = Workload::generate(&WorkloadConfig {
+        })
+        .expect("valid workload config");
+        let spike = Workload::try_generate(&WorkloadConfig {
             seed: 8,
             sessions: 10,
             mean_interarrival_s: 0.2,
@@ -210,7 +212,8 @@ fn elastic_summary_text(workers: usize) -> String {
             live_ratio: 0.2,
             vod_frames: (60, 150),
             live_frames: (300, 600),
-        });
+        })
+        .expect("valid workload config");
         quiet
             .arrivals()
             .iter()
